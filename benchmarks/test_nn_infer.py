@@ -38,7 +38,6 @@ from repro.models import MODEL_FACTORIES, mobilenet
 from repro.nn import (
     GraphNetwork,
     compile_plan,
-    compile_quantized_plan,
     layers,
 )
 
@@ -156,8 +155,7 @@ def test_inference_runtime_throughput():
             }
         q16 = plan.quantize(16)
         in_shape = (shape.channels, shape.height, shape.width)
-        q16_compiled = compile_quantized_plan(q16, in_shape,
-                                              batch_sizes=(batch,))
+        q16_compiled = compile_plan(q16, in_shape, batch_sizes=(batch,))
         assert np.array_equal(q16_compiled.run(x), q16.run(x)), name
         quant[16]["compiled_ms"] = round(
             best_of(lambda: q16_compiled.run(x), repeats) * 1e3, 3)

@@ -30,7 +30,6 @@ from repro.nn.layers import (
 )
 from repro.nn.compile import (
     CompiledPlan,
-    CompiledQuantizedPlan,
     compile_plan,
     compile_quantized_plan,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "BufferArena",
     "ClassificationReport",
     "CompiledPlan",
-    "CompiledQuantizedPlan",
     "BatchNorm2D",
     "Conv2D",
     "CosineLR",

@@ -149,13 +149,6 @@ def _worker_main(setup: _WorkerSetup, req_handle: RingHandle,
     arrays = map_arrays(weights, setup.manifest)
     plan = plan_from_template(setup.template, arrays)
     executor = plan
-    if setup.compiled:
-        # Compile over the zero-copy shm weight views: the parent paid
-        # for the weights once, each worker only adds its static arena.
-        from repro.nn.compile import CompiledPlan
-        executor = CompiledPlan(plan, setup.input_shape,
-                                batch_sizes=(1, setup.max_batch),
-                                autocompile=True)
     qdtype = None
     if setup.quantized_bits is not None:
         # Quantization is deterministic, so re-deriving the integer
@@ -165,7 +158,14 @@ def _worker_main(setup: _WorkerSetup, req_handle: RingHandle,
         from repro.nn.quant import activation_dtype
         executor = plan.quantize(setup.quantized_bits)
         qdtype = activation_dtype(setup.quantized_bits)
-    run_arena = getattr(executor, "arena", plan.arena)
+    run_arena = executor.arena
+    if setup.compiled:
+        # Compile over the zero-copy shm weight views (or the integer
+        # plan derived from them): each worker only adds its arena.
+        from repro.nn.compile import CompiledPlan
+        executor = CompiledPlan(executor, setup.input_shape,
+                                batch_sizes=(1, setup.max_batch),
+                                autocompile=True)
     if setup.warmup:
         # One dummy batch so the first real request doesn't pay
         # arena/bind cold-start. Failures surface on real traffic.

@@ -119,10 +119,8 @@ class ServerConfig:
     re-derive it from the shared float weights (quantization is
     deterministic, so every worker runs the identical integer plan)
     and the request rings carry int16/int8 payloads plus per-sample
-    scales instead of float64.  Combining ``compiled`` with
-    ``quantized_bits`` is not supported — the integer path has its own
-    AOT compiler (:func:`repro.nn.compile.compile_quantized_plan`)
-    that the serving runtime does not drive yet.
+    scales instead of float64.  With ``compiled`` as well, workers run
+    the AOT-compiled integer program over that quantized plan.
     """
 
     workers: int = 2
@@ -159,12 +157,6 @@ class ServerConfig:
         if self.quantized_bits is not None:
             if not 2 <= self.quantized_bits <= 16:
                 raise ValueError("quantized_bits must be in [2, 16]")
-            if self.compiled:
-                raise ValueError(
-                    "compiled=True cannot be combined with "
-                    "quantized_bits: the integer path has its own AOT "
-                    "compiler (repro.nn.compile.compile_quantized_plan) "
-                    "that serving does not drive yet")
 
 
 @dataclass(frozen=True)
@@ -310,28 +302,26 @@ class Server:
                     "input shape; pass input_shape= (Server.for_network "
                     "does) when worker_mode='process'")
             self._workers: List[_Worker] = []
-        elif self.config.compiled:
-            from repro.nn.compile import CompiledPlan
+        else:
+            # One shared (quantized, compiled) lowering of the plan;
+            # worker clones share its weights and immutable programs
+            # and add only a private arena each.
+            base = plan
+            if self.config.quantized_bits is not None:
+                base = base.quantize(self.config.quantized_bits)
+            if self.config.compiled:
+                from repro.nn.compile import CompiledPlan
 
-            # Compile once against the server's plan; worker clones
-            # share the immutable programs and bind per-thread arenas.
-            base = CompiledPlan(
-                plan, self.input_shape,
-                batch_sizes=(1, self.config.max_batch_size),
-                autocompile=True)
+                base = CompiledPlan(
+                    base, self.input_shape,
+                    batch_sizes=(1, self.config.max_batch_size),
+                    autocompile=True)
             self._workers = []
             for i in range(self.config.workers):
                 executor = base.clone()
-                self._workers.append(_Worker(i, executor.plan, executor))
-        elif self.config.quantized_bits is not None:
-            # One shared quantized lowering; clones share the integer
-            # weights and add only a private arena per worker.
-            base_q = plan.quantize(self.config.quantized_bits)
-            self._workers = [_Worker(i, base_q.clone())
-                             for i in range(self.config.workers)]
-        else:
-            self._workers = [_Worker(i, plan.clone())
-                             for i in range(self.config.workers)]
+                self._workers.append(_Worker(
+                    i, executor.plan if self.config.compiled else executor,
+                    executor))
         # Guards the lifecycle flags and the submit-side counters; also
         # serializes submits against shutdown so no request can slip
         # into the queue behind the poison pills.

@@ -3,9 +3,11 @@
 Covers the static first-fit allocator, zoo-wide equivalence of the
 compiled executor against the interpreted plan (≤1e-12) and the looped
 ``forward_reference`` oracle at batch 1 and 4, kernel-strategy
-selection (pointwise / dw-gemm / write-through joins), branch-parallel
-execution, batch-specialization fallback + autocompile, per-thread
-static arenas, and the no-arena-traffic hot-path guarantee.
+selection (pointwise / dw-gemm / write-through joins),
+batch-specialization fallback + autocompile (one fallback counter for
+both numeric domains), per-thread static arenas, per-step spans for
+float and integer programs, and the no-arena-traffic hot-path
+guarantee.
 """
 
 import threading
@@ -16,7 +18,12 @@ import pytest
 from repro import obs
 from repro.graph import NetworkBuilder, TensorShape
 from repro.models import MODEL_FACTORIES
-from repro.nn import CompiledPlan, GraphNetwork, compile_plan
+from repro.nn import (
+    CompiledPlan,
+    GraphNetwork,
+    compile_plan,
+    quantize_batch,
+)
 from repro.nn.compile import _StaticAllocator, ALIGN
 from tests.test_nn_infer import (
     _randomize_running_stats,
@@ -245,30 +252,6 @@ class TestHotPathIsStatic:
         np.testing.assert_array_equal(x, snapshot)
 
 
-class TestParallelBranches:
-    def test_fire_modules_detected_and_bit_identical(self):
-        net = GraphNetwork(MODEL_FACTORIES["SqueezeNet v1.1"](),
-                           rng=np.random.default_rng(0), batch_norm=True)
-        _randomize_running_stats(net)
-        net.eval()
-        plan = net.inference_plan()
-        serial = compile_plan(plan, _input_shape(net))
-        fanout = compile_plan(plan, _input_shape(net), parallel=2)
-        assert fanout.program(1).parallel_groups >= 8  # the fire modules
-        x = np.random.default_rng(3).normal(size=(1,) + _input_shape(net))
-        np.testing.assert_array_equal(fanout.run(x), serial.run(x))
-
-    def test_branchy_toy_graph_parallel_equivalence(self):
-        net = _branchy_net()
-        plan = net.inference_plan()
-        serial = compile_plan(plan, _input_shape(net))
-        fanout = compile_plan(plan, _input_shape(net), parallel=True)
-        assert fanout.program(1).parallel_groups >= 1
-        x = RNG.normal(size=(2,) + _input_shape(net))
-        x1 = x[:1]
-        np.testing.assert_array_equal(fanout.run(x1), serial.run(x1))
-
-
 class TestThreadSafety:
     THREADS = 8
     ROUNDS = 10
@@ -326,16 +309,44 @@ class TestStatsAndObs:
 
     def test_compile_and_step_spans_recorded(self):
         net = _branchy_net()
-        plan = net.inference_plan()
+        float_plan = net.inference_plan()
+        for plan in (float_plan, float_plan.quantize(16)):
+            tracer = obs.enable()
+            try:
+                compiled = compile_plan(plan, _input_shape(net))
+                compiled.run(RNG.normal(size=(1,) + _input_shape(net)))
+            finally:
+                obs.disable()
+            names = [record.name for record in tracer.spans]
+            assert "infer.compile" in names
+            assert "infer.compiled" in names
+            assert tracer.counters["infer.compiled.bind"] >= 1
+            assert tracer.gauges["infer.compiled.arena_bytes"] > 0
+            # One step span per executed step, keyed by the plan node
+            # name (inputs and free reshape views execute nothing).
+            executed = [step.name for step in compiled.program(1)._steps
+                        if step.kind not in ("input", "alias")]
+            steps = [record.meta["step"] for record in tracer.spans
+                     if record.name == "infer.compiled_step"]
+            assert steps == executed
+            assert len(steps) >= len(plan.steps) // 2
+            assert set(steps) <= {step.name for step in plan.steps}
+
+    def test_fallback_counter_matches_stats_across_entry_points(self):
+        net = _branchy_net()
+        qplan = net.inference_plan().quantize(16)
+        compiled = compile_plan(qplan, _input_shape(net), batch_sizes=(1,))
+        x2 = RNG.normal(size=(2,) + _input_shape(net))
+        q2, s2 = quantize_batch(x2, 16)
         tracer = obs.enable()
         try:
-            compiled = compile_plan(plan, _input_shape(net))
-            compiled.run(RNG.normal(size=(1,) + _input_shape(net)))
+            compiled.run(x2)                              # unseen batch
+            compiled.run(x2.astype(np.float32))           # wrong dtype
+            compiled.run_quantized(q2, s2)                # unseen batch
+            compiled.run_quantized(q2[:, :, :4], s2)      # wrong shape
+            compiled.run(x2[:1])                          # compiled
         finally:
             obs.disable()
-        names = [record.name for record in tracer.spans]
-        assert "infer.compile" in names
-        assert "infer.compiled" in names
-        assert "infer.compiled_step" in names
-        assert tracer.counters["infer.compiled.bind"] >= 1
-        assert tracer.gauges["infer.compiled.arena_bytes"] > 0
+        assert compiled.stats().fallbacks == 4
+        assert (compiled.stats().fallbacks
+                == tracer.counters["infer.compiled.fallback"])

@@ -17,9 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph import NetworkBuilder, TensorShape
 from repro.graph import layer_spec as spec
 from repro.models import MODEL_FACTORIES
 from repro.nn import (
+    CompiledPlan,
     GraphNetwork,
     activation_dtype,
     build_quantized_plan,
@@ -303,15 +305,44 @@ class TestQuantizedPlanSmall:
 
 
 class TestCompiledQuantized:
-    @pytest.mark.parametrize("batch", [1, 3])
-    def test_compiled_bit_identical_zoo(self, zoo_network, batch):
+    @pytest.mark.parametrize("batch,bits", [(1, 16), (3, 16), (1, 8),
+                                            (3, 8)],
+                             ids=["1", "3", "1-int8", "3-int8"])
+    def test_compiled_bit_identical_zoo(self, zoo_network, batch, bits):
         net = zoo_network
         x = np.random.default_rng(batch).normal(
             size=(batch,) + _input_shape(net))
-        qplan = net.inference_plan().quantize(16)
+        qplan = net.inference_plan().quantize(bits)
         compiled = compile_quantized_plan(qplan, _input_shape(net),
                                           batch_sizes=(batch,))
+        assert isinstance(compiled, CompiledPlan)
         np.testing.assert_array_equal(compiled.run(x), qplan.run(x))
+
+    @pytest.mark.parametrize("bits", [16, 8])
+    def test_float_module_outputs_feeding_integer_steps(self, bits):
+        # An avg-pool runs as a float module; its output is quantized
+        # into conv/pointwise/max-pool stages, rescaled into a concat
+        # and summed as floats into an add, exactly as the plan does.
+        b = NetworkBuilder("module-feeds", TensorShape(3, 8, 8))
+        b.conv("c0", 6, kernel_size=3, padding=1)
+        b.pool("ap", kernel_size=2, stride=2, mode="avg")
+        b.conv("c1", 6, kernel_size=3, padding=1, after="ap")
+        b.conv("c1p", 6, kernel_size=1, after="ap")
+        b.pool("mp", kernel_size=3, stride=1, padding=1, after="ap")
+        b.concat("cat", ["c1", "c1p", "ap", "mp"])
+        b.conv("c2", 6, kernel_size=1)
+        b.add("res", ["c2", "ap"])
+        b.global_avg_pool("gap")
+        b.flatten("fl")
+        b.dense("fc", 5, activation="identity")
+        net = GraphNetwork(b.build(), rng=np.random.default_rng(2),
+                           batch_norm=True).eval()
+        qplan = net.inference_plan().quantize(bits)
+        compiled = compile_quantized_plan(qplan, (3, 8, 8),
+                                          batch_sizes=(3,))
+        xs = images(3)
+        np.testing.assert_array_equal(compiled.run(xs), qplan.run(xs))
+        assert compiled.fallbacks == 0
 
     def test_static_arena_smaller_than_float(self, zoo_network):
         net = zoo_network
@@ -414,8 +445,6 @@ class TestQuantizedServing:
             ServerConfig(quantized_bits=1)
         with pytest.raises(ValueError):
             ServerConfig(quantized_bits=17)
-        with pytest.raises(ValueError):
-            ServerConfig(compiled=True, quantized_bits=16)
 
 
 # -- the experiments artifact ------------------------------------------------

@@ -212,15 +212,6 @@ class TestDeadlines:
         with pytest.raises(ValueError):
             ServerConfig(arena_trim_bytes=-1)
 
-    def test_compiled_plus_quantized_rejected_at_construction(self):
-        # The conflict must surface when the config is built, not
-        # later when a worker pool tries to lower the plan.
-        with pytest.raises(ValueError, match="compiled"):
-            ServerConfig(compiled=True, quantized_bits=16)
-        # Each alone is fine.
-        ServerConfig(compiled=True)
-        ServerConfig(quantized_bits=16)
-
     def test_thread_mode_arena_trim_caps_held_bytes(self):
         net = make_net()
         cap = 64 * 1024
@@ -593,6 +584,23 @@ class TestCompiledServing:
         for i, result in enumerate(results):
             np.testing.assert_array_equal(
                 result, reference_plan.run(xs[i:i + 1])[0])
+
+    def test_compiled_quantized_responses_bit_identical(self):
+        # The two knobs compose: workers quantize the plan, then run
+        # the compiled integer program over it.
+        from repro.nn import compile_plan
+        net = make_net()
+        direct = compile_plan(net.inference_plan().quantize(16), (3, 8, 8))
+        xs = images(12)
+        config = ServerConfig(workers=2, max_batch_size=4, max_wait_ms=5.0,
+                              compiled=True, quantized_bits=16)
+        with Server.for_network(net, config) as server:
+            assert server._workers[0].exec.program(1).bits == 16
+            results = [f.result(timeout=30)
+                       for f in [server.submit(x) for x in xs]]
+        for i, result in enumerate(results):
+            np.testing.assert_array_equal(result, direct.run(xs[i:i + 1])[0])
+        assert direct.fallbacks == 0
 
     def test_warmup_binds_programs_before_first_request(self):
         net = make_net()

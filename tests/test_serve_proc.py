@@ -308,6 +308,23 @@ class TestCompiledProcessMode:
             from_thread = server.infer(x, timeout=60)
         np.testing.assert_array_equal(from_process, from_thread)
 
+    def test_compiled_quantized_rings_carry_levels(self):
+        # quantized_bits + compiled: rings carry int16 levels into each
+        # worker's compiled integer program (run_quantized).
+        from repro.nn import compile_plan
+        net = make_net()
+        direct = compile_plan(net.inference_plan().quantize(16), (3, 8, 8))
+        xs = images(8)
+        config = proc_config(workers=1, compiled=True, quantized_bits=16)
+        with Server.for_network(net, config) as server:
+            ring = server._procpool._req_rings[0]
+            assert ring.handle.payload_dtype == "<i2"
+            results = [f.result(timeout=60)
+                       for f in [server.submit(x) for x in xs]]
+        for i, result in enumerate(results):
+            np.testing.assert_array_equal(result, direct.run(xs[i:i + 1])[0])
+        assert direct.fallbacks == 0
+
     def test_compiled_warmup_disabled_still_serves(self):
         net = make_net()
         config = proc_config(compiled=True, workers=1, warmup=False)
