@@ -112,10 +112,6 @@ class DiskCacheStats:
         return self.hits + self.misses
 
     @property
-    def network_lookups(self) -> int:
-        return self.network_hits + self.network_misses
-
-    @property
     def hit_rate(self) -> float:
         if not self.lookups:
             return 0.0

@@ -7,8 +7,8 @@
   array size, buffers, sparsity);
 * :mod:`repro.core.sweep` — the shared parallel sweep engine (cached,
   deterministic-order config-point evaluation, thread or process mode,
-  persistent disk cache, streamed results) every search runs on;
-* :mod:`repro.core.journal` — checkpoint/resume journal for long sweeps;
+  persistent disk cache, streamed results) every search runs on; a
+  re-run with the same ``cache_dir`` resumes an interrupted sweep;
 * :mod:`repro.core.pareto` — accuracy/latency/energy frontier (Fig. 4),
   batch or incrementally streamed (:class:`ParetoFrontier`);
 * :mod:`repro.core.codesign` — the three-movement co-design loop.
@@ -21,7 +21,6 @@ from repro.core.codesign import (
     run_paper_codesign,
 )
 from repro.core.evolve import EvolveResult, EvolveStep, describe, evolve_squeezenext
-from repro.core.journal import SweepJournal, sweep_fingerprint
 from repro.core.pareto import (
     DesignPoint,
     ParetoFrontier,
@@ -81,7 +80,6 @@ __all__ = [
     "StageProfile",
     "SweepEngine",
     "SweepJob",
-    "SweepJournal",
     "SweepPoint",
     "VariantResult",
     "array_size_sweep",
@@ -109,6 +107,5 @@ __all__ = [
     "squeezenext_stage_of",
     "streaming_sweep_frontier",
     "sweep_dominates",
-    "sweep_fingerprint",
     "tune_for_network",
 ]

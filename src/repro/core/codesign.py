@@ -19,8 +19,7 @@ the paper's design narrative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from repro.accel.hybrid import Squeezelerator
 from repro.core.sweep import SweepEngine
@@ -63,23 +62,15 @@ class CoDesignLoop:
 
     def __init__(self, seed_network: NetworkSpec,
                  array_sizes=(16, 32), rf_entries=(8, 16),
-                 engine: Optional[SweepEngine] = None,
-                 checkpoint_dir: Optional[Union[str, Path]] = None) -> None:
+                 engine: Optional[SweepEngine] = None) -> None:
         self.seed_network = seed_network
         self.array_sizes = tuple(array_sizes)
         self.rf_entries = tuple(rf_entries)
         # One engine for all three movements, so the re-tune sweep reuses
-        # every layer report the initial sweep already produced.
+        # every layer report the initial sweep already produced.  An
+        # engine with a cache_dir makes the loop resumable: a re-run
+        # serves every finished sweep point from the disk tier.
         self.engine = engine or SweepEngine()
-        # With a checkpoint_dir, each hardware sweep journals its
-        # completed points; a re-run of an interrupted loop skips them.
-        self.checkpoint_dir = (Path(checkpoint_dir)
-                               if checkpoint_dir is not None else None)
-
-    def _journal(self, movement: str) -> Optional[Path]:
-        if self.checkpoint_dir is None:
-            return None
-        return self.checkpoint_dir / f"{movement}.jsonl"
 
     def run(self) -> CoDesignResult:
         """Execute all three movements and return the history."""
@@ -88,8 +79,7 @@ class CoDesignLoop:
         # Movement 1: tailor the accelerator to the seed DNN.
         hw_points = array_size_sweep(self.seed_network,
                                      sizes=self.array_sizes,
-                                     engine=self.engine,
-                                     journal=self._journal("array-size"))
+                                     engine=self.engine)
         hw_best = best_point(hw_points)
         result.steps.append(CoDesignStep(
             name="accelerator-for-dnn",
@@ -117,8 +107,7 @@ class CoDesignLoop:
         rf_points = rf_size_sweep(chosen_variant.network,
                                   rf_entries=self.rf_entries,
                                   array_size=hw_best.config.array_rows,
-                                  engine=self.engine,
-                                  journal=self._journal("rf-size"))
+                                  engine=self.engine)
         rf_best = best_point(rf_points)
         result.steps.append(CoDesignStep(
             name="retune-accelerator",

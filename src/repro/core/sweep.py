@@ -23,9 +23,12 @@ shape, done once:
 * :meth:`SweepEngine.run_iter` streams points as they complete (input
   order), so partial sweep results are usable live — e.g. feeding an
   incremental :class:`~repro.core.pareto.ParetoFrontier`;
-* long sweeps checkpoint: pass ``journal=`` (a path) and every
-  completed point is appended to a :class:`~repro.core.journal.SweepJournal`;
-  an interrupted run re-simulates zero completed points on resume.
+* long sweeps resume: re-run the same sweep with the same ``cache_dir``
+  and every point already in the disk tier's network index is served
+  without simulation.  A killed run loses at most the write-behind
+  window (``flush_every``, 256 pending puts); ``run_iter`` flushes
+  after the last point and when abandoned, process-mode workers after
+  every chunk.
 
 Environment defaults (overridden by explicit constructor arguments):
 
@@ -33,9 +36,7 @@ Environment defaults (overridden by explicit constructor arguments):
 * ``SWEEP_MAX_WORKERS`` — worker count in either mode (the built-in
   default is ``min(8, cpu_count)`` for threads and the full
   ``cpu_count()`` for processes);
-* ``SWEEP_CACHE_DIR`` — persistent cache directory;
-* ``SWEEP_RESUME=1`` — auto-journal every ``run``/``run_iter`` under
-  ``<cache_dir>/journals/<sweep fingerprint>.jsonl``.
+* ``SWEEP_CACHE_DIR`` — persistent cache directory.
 
 Cached and uncached engines produce bit-identical sweep results; build
 with ``use_cache=False`` to force from-scratch simulation.
@@ -75,7 +76,6 @@ from repro.accel.simcache import (
 )
 from repro.accel.simulator import AcceleratorSimulator
 from repro.accel.workload import network_workloads
-from repro.core.journal import SweepJournal, sweep_fingerprint
 from repro.graph.network_spec import NetworkSpec
 
 _T = TypeVar("_T")
@@ -238,7 +238,6 @@ class SweepEngine:
         mode: Optional[str] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         chunk_size: Optional[int] = None,
-        resume: Optional[bool] = None,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be positive")
@@ -251,9 +250,6 @@ class SweepEngine:
         if cache_dir is None:
             cache_dir = os.environ.get("SWEEP_CACHE_DIR") or None
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
-        if resume is None:
-            resume = os.environ.get("SWEEP_RESUME") == "1"
-        self.resume = resume
         self.max_workers = max_workers or _default_workers(mode)
         self.chunk_size = chunk_size
         self.use_cache = use_cache
@@ -312,33 +308,6 @@ class SweepEngine:
         workers = min(self.max_workers, len(items))
         with ThreadPoolExecutor(max_workers=workers) as executor:
             return list(executor.map(fn, items))
-
-    # -- journal plumbing --------------------------------------------------
-
-    def _fingerprint(self, jobs: Sequence[SweepJob],
-                     workloads_by_network: Dict[int, list]) -> str:
-        """Sweep identity: everything the simulated results depend on."""
-        return sweep_fingerprint(
-            (job.label, job.config,
-             workloads_by_network[id(job.network)], self.energy_model)
-            for job in jobs)
-
-    def _resolve_journal(
-        self, jobs: Sequence[SweepJob],
-        journal: Optional[Union[str, Path, SweepJournal]],
-        workloads_by_network: Dict[int, list],
-    ) -> Optional[SweepJournal]:
-        if journal is None and not (self.resume and self.cache_dir):
-            return None
-        if isinstance(journal, SweepJournal):
-            return journal
-        fingerprint = self._fingerprint(jobs, workloads_by_network)
-        if journal is None:
-            # SWEEP_RESUME auto-journal: the fingerprint names the file,
-            # so any caller's sweep resumes without explicit wiring.
-            journal = (Path(self.cache_dir) / "journals"
-                       / f"{fingerprint[:16]}.jsonl")
-        return SweepJournal(journal, fingerprint)
 
     # -- execution ---------------------------------------------------------
 
@@ -416,20 +385,16 @@ class SweepEngine:
             pool.terminate()
             pool.join()
 
-    def run_iter(self, jobs: Sequence[SweepJob],
-                 journal: Optional[Union[str, Path, SweepJournal]] = None,
-                 ) -> Iterator[SweepPoint]:
+    def run_iter(self, jobs: Sequence[SweepJob]) -> Iterator[SweepPoint]:
         """Evaluate jobs, yielding each point in input order as soon as
         it (and all earlier points) completed.
 
         Streaming makes partial sweep results usable live — feed an
         incremental :class:`~repro.core.pareto.ParetoFrontier`, print
-        progress, or stop early.  With ``journal=`` (a path or a
-        :class:`~repro.core.journal.SweepJournal`) every completed point
-        is checkpointed and a re-run of the identical sweep resumes,
-        re-simulating zero completed points; with the engine's
-        ``resume`` flag set and a ``cache_dir`` configured, journaling
-        is automatic (keyed by the sweep fingerprint).
+        progress, or stop early.  The disk tier is flushed when the
+        iterator finishes or is abandoned, so a re-run with the same
+        ``cache_dir`` serves every point already yielded from the
+        network index.
         """
         jobs = list(jobs)
         # Extract each distinct network's workload list once up front —
@@ -444,35 +409,18 @@ class SweepEngine:
                 workloads_by_network[id(job.network)] = workloads
                 if disk_tiered:
                     digests[id(job.network)] = workloads_digest(workloads)
-        journal = self._resolve_journal(jobs, journal, workloads_by_network)
-        done: Dict[int, NetworkReport] = (journal.completed() if journal
-                                          else {})
-        pending = [job for index, job in enumerate(jobs) if index not in done]
         if self.mode == "process":
-            fresh = self._execute_processes(pending)
+            points = self._execute_processes(jobs)
         else:
-            fresh = self._execute_threads(pending, workloads_by_network,
-                                          digests)
+            points = self._execute_threads(jobs, workloads_by_network,
+                                           digests)
         try:
-            for index, job in enumerate(jobs):
-                if index in done:
-                    obs.count("sweep.journal.skipped")
-                    yield SweepPoint(label=job.label, config=job.config,
-                                     report=done[index])
-                    continue
-                point = next(fresh)
-                if journal is not None:
-                    journal.record(index, point.label, point.report)
-                yield point
+            yield from points
         finally:
-            if journal is not None:
-                journal.close()
             if self.cache is not None:
                 self.cache.flush()
 
-    def run(self, jobs: Sequence[SweepJob],
-            journal: Optional[Union[str, Path, SweepJournal]] = None,
-            ) -> List[SweepPoint]:
+    def run(self, jobs: Sequence[SweepJob]) -> List[SweepPoint]:
         """Evaluate all jobs; deterministic (input) result order.
 
         While a tracer is active (:mod:`repro.obs`) every thread-mode
@@ -485,16 +433,14 @@ class SweepEngine:
         """
         jobs = list(jobs)
         if not obs.is_enabled():
-            return list(self.run_iter(jobs, journal=journal))
+            return list(self.run_iter(jobs))
         with obs.span("sweep.run", jobs=len(jobs), mode=self.mode,
                       workers=min(self.max_workers, max(1, len(jobs)))):
-            return list(self.run_iter(jobs, journal=journal))
+            return list(self.run_iter(jobs))
 
     def sweep(self, network: NetworkSpec,
               configs: Sequence[AcceleratorConfig],
-              labels: Sequence[str],
-              journal: Optional[Union[str, Path, SweepJournal]] = None,
-              ) -> List[SweepPoint]:
+              labels: Sequence[str]) -> List[SweepPoint]:
         """Evaluate ``network`` on each config, labelled point by point."""
         configs = list(configs)
         labels = list(labels)
@@ -503,5 +449,4 @@ class SweepEngine:
                 f"configs and labels disagree: {len(configs)} configs "
                 f"vs {len(labels)} labels")
         return self.run([SweepJob(label=label, config=config, network=network)
-                         for config, label in zip(configs, labels)],
-                        journal=journal)
+                         for config, label in zip(configs, labels)])

@@ -16,11 +16,9 @@ from-scratch simulation.
 from __future__ import annotations
 
 import dataclasses
-from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Union
 
 from repro.accel.config import AcceleratorConfig, squeezelerator
-from repro.core.journal import SweepJournal
 from repro.core.sweep import SweepEngine, SweepJob, SweepPoint, default_objective
 from repro.graph.network_spec import NetworkSpec
 
@@ -36,20 +34,17 @@ __all__ = [
     "tune_for_network",
 ]
 
-_Journal = Optional[Union[str, Path, SweepJournal]]
-
 
 def _sweep(network: NetworkSpec,
            configs: Sequence[AcceleratorConfig],
            labels: Sequence[str],
            engine: Optional[SweepEngine] = None,
-           use_cache: bool = True,
-           journal: _Journal = None) -> List[SweepPoint]:
+           use_cache: bool = True) -> List[SweepPoint]:
     """Shared sweep helper; raises ValueError on a configs/labels
     length mismatch instead of silently truncating."""
     if engine is None:
         engine = SweepEngine(use_cache=use_cache)
-    return engine.sweep(network, configs, labels, journal=journal)
+    return engine.sweep(network, configs, labels)
 
 
 def rf_size_sweep(
@@ -57,12 +52,11 @@ def rf_size_sweep(
     rf_entries: Sequence[int] = (4, 8, 16, 32),
     array_size: int = 32,
     engine: Optional[SweepEngine] = None,
-    journal: _Journal = None,
 ) -> List[SweepPoint]:
     """The paper's final tune-up, generalized: sweep RF entries per PE."""
     configs = [squeezelerator(array_size, rf) for rf in rf_entries]
     labels = [f"rf={rf}" for rf in rf_entries]
-    return _sweep(network, configs, labels, engine=engine, journal=journal)
+    return _sweep(network, configs, labels, engine=engine)
 
 
 def array_size_sweep(
@@ -70,12 +64,11 @@ def array_size_sweep(
     sizes: Sequence[int] = (8, 16, 24, 32),
     rf_entries: int = 8,
     engine: Optional[SweepEngine] = None,
-    journal: _Journal = None,
 ) -> List[SweepPoint]:
     """Sweep the PE array across the paper's stated range (8..32)."""
     configs = [squeezelerator(size, rf_entries) for size in sizes]
     labels = [f"{size}x{size}" for size in sizes]
-    return _sweep(network, configs, labels, engine=engine, journal=journal)
+    return _sweep(network, configs, labels, engine=engine)
 
 
 def sparsity_sweep(
@@ -180,16 +173,16 @@ def design_space_sweep(
     array_sizes: Sequence[int] = (8, 16, 24, 32),
     rf_entries: Sequence[int] = (4, 8, 16, 32),
     engine: Optional[SweepEngine] = None,
-    journal: _Journal = None,
     stream: bool = False,
 ) -> Union[List[SweepPoint], Iterator[SweepPoint]]:
     """Sweep the whole accelerator design space across a model zoo.
 
     This is the million-point entry: every (network, array size, RF
     size) combination, on whatever engine is passed — a process-mode
-    engine with a ``cache_dir`` makes re-runs nearly free, and a
-    ``journal`` (or ``resume=True`` on the engine) makes an interrupted
-    enumeration resumable.  With ``stream=True`` an iterator of points
+    engine with a ``cache_dir`` makes re-runs nearly free, and re-running
+    an interrupted enumeration with the same ``cache_dir`` resumes it
+    (only points missing from the disk tier are simulated).  With
+    ``stream=True`` an iterator of points
     is returned as they complete (input order), suitable for feeding
     :func:`repro.core.pareto.streaming_sweep_frontier`.
     """
@@ -197,5 +190,5 @@ def design_space_sweep(
         engine = SweepEngine()
     jobs = design_space_jobs(networks, array_sizes, rf_entries)
     if stream:
-        return engine.run_iter(jobs, journal=journal)
-    return engine.run(jobs, journal=journal)
+        return engine.run_iter(jobs)
+    return engine.run(jobs)

@@ -35,13 +35,3 @@ def _fmt(value: object) -> str:
             return f"{value:.1f}"
         return f"{value:.2f}"
     return str(value)
-
-
-def paper_vs_measured(paper: float, measured: float,
-                      suffix: str = "") -> str:
-    """Render 'measured (paper: X)' cells."""
-    return f"{measured:.2f}{suffix} (paper {paper:.2f}{suffix})"
-
-
-def ratio_band(low: float, high: float) -> str:
-    return f"{low:.2f}x-{high:.2f}x"

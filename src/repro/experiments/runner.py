@@ -223,10 +223,11 @@ def run(names: Optional[List[str]] = None,
     sweep engine; section order stays deterministic either way.
 
     Sweep behaviour inside artifacts is steered by the environment
-    (``SWEEP_MODE``, ``SWEEP_MAX_WORKERS``, ``SWEEP_CACHE_DIR``,
-    ``SWEEP_RESUME`` — see :mod:`repro.core.sweep`); the CLI's
-    ``--cache-dir`` / ``--sweep-workers`` / ``--resume`` flags set those
-    variables for the duration of :func:`main`.
+    (``SWEEP_MODE``, ``SWEEP_MAX_WORKERS``, ``SWEEP_CACHE_DIR`` — see
+    :mod:`repro.core.sweep`); the CLI's ``--cache-dir`` /
+    ``--sweep-workers`` flags set those variables for the duration of
+    :func:`main`.  Re-running with the same ``--cache-dir`` resumes an
+    interrupted run: finished sweep points come from the disk tier.
     """
     keys = [resolve(n) for n in names] if names else list(_ARTIFACTS)
     _warn_ignored_flags(keys, array_size, rf_entries, quant_bits)
@@ -267,23 +268,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="render artifacts concurrently (default: 1)")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="persistent simulation cache directory "
-                             "(sets SWEEP_CACHE_DIR; warm re-runs skip "
-                             "every already-simulated layer)")
+                             "(sets SWEEP_CACHE_DIR; re-runs, including "
+                             "of an interrupted run, skip every "
+                             "already-simulated point)")
     parser.add_argument("--sweep-workers", type=int, default=None,
                         metavar="N",
                         help="sweep worker count (sets SWEEP_MAX_WORKERS)")
-    parser.add_argument("--resume", action="store_true",
-                        help="journal completed sweep points under the "
-                             "cache dir and resume interrupted sweeps "
-                             "(sets SWEEP_RESUME=1; requires --cache-dir)")
     parser.add_argument("--trace", metavar="OUT.json", default=None,
                         help="record a Chrome-trace JSON of the run "
                              "(open in chrome://tracing or Perfetto)")
     parser.add_argument("--profile", action="store_true",
                         help="print the span/counter profile to stderr")
     args = parser.parse_args(argv)
-    if args.resume and not args.cache_dir:
-        parser.error("--resume requires --cache-dir")
     overrides = {}
     if args.cache_dir is not None:
         overrides["SWEEP_CACHE_DIR"] = args.cache_dir
@@ -291,8 +287,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.sweep_workers < 1:
             parser.error("--sweep-workers must be >= 1")
         overrides["SWEEP_MAX_WORKERS"] = str(args.sweep_workers)
-    if args.resume:
-        overrides["SWEEP_RESUME"] = "1"
     saved = {key: os.environ.get(key) for key in overrides}
     os.environ.update(overrides)
     tracer = obs.enable() if (args.trace or args.profile) else None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 import numpy as np
 
@@ -165,8 +165,3 @@ class Identity(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return grad_out
-
-
-def init_rng(seed: Optional[int]) -> np.random.Generator:
-    """Construct the framework's RNG (explicit seeding everywhere)."""
-    return np.random.default_rng(seed)

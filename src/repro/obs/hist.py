@@ -250,14 +250,6 @@ class LatencyHistogram:
             "p99": p99,
         }
 
-    def nonempty_buckets(self) -> List[Tuple[float, int]]:
-        """(upper_edge, count) for every bucket holding observations."""
-        out: List[Tuple[float, int]] = []
-        for i, c in enumerate(self._counts):
-            if c:
-                out.append((self._edges[min(i, len(self._edges) - 1)], c))
-        return out
-
     def __repr__(self) -> str:
         if not self.count:
             return "LatencyHistogram(empty)"

@@ -176,10 +176,6 @@ class Tracer:
         with self._lock:
             return dict(self._gauges)
 
-    def elapsed_us(self) -> float:
-        """Microseconds since the tracer was constructed."""
-        return self._now_us()
-
     def clear(self) -> None:
         """Drop all recorded signal (span stacks are left alone)."""
         with self._lock:

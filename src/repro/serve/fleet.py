@@ -38,8 +38,8 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 

@@ -1,7 +1,8 @@
 """Property tests: report serialization round trips bit-identically.
 
-The persistent simulation cache and the sweep journal both assume that
-``from_dict(to_dict(report))`` — including a trip through actual JSON
+The persistent simulation cache and saved reports
+(:func:`~repro.accel.serialize.save_report` / ``load_report``) both
+assume that ``from_dict(to_dict(report))`` — including a trip through actual JSON
 text — reproduces every field exactly.  Python floats survive JSON
 because ``json`` emits ``repr``-precision literals (shortest round
 trip), so the property genuinely holds for arbitrary finite values, not
@@ -57,7 +58,7 @@ def network_reports(draw):
 
 
 def through_json(data):
-    """The exact path disk cache and journal payloads travel."""
+    """The exact path disk cache and saved-report payloads travel."""
     return json.loads(json.dumps(data))
 
 

@@ -1,26 +1,32 @@
-"""Process-mode sweeps, checkpoint/resume, and streaming results.
+"""Process-mode sweeps, resume from the disk tier, and streaming results.
 
 The contracts under test, in rough order of importance:
 
 * process-mode results are bit- and order-identical to thread-mode
   results, across the whole model zoo;
-* a journaled sweep resumes re-simulating zero completed points, and a
-  partially journaled (killed) sweep re-simulates only the remainder;
+* a re-run over the same ``cache_dir`` resumes: it re-simulates zero
+  completed points, and after an abandoned or killed run it simulates
+  exactly the points that had not finished;
 * ``run_iter`` streams points in input order and composes with the
   incremental Pareto frontier;
 * worker-count policy: ``SWEEP_MAX_WORKERS`` overrides both modes,
   process mode defaults to the full ``cpu_count()``.
 """
 
-import json
 import os
+import signal
+import sqlite3
+import time
+from contextlib import closing
 
 import pytest
 
 from repro.accel.config import squeezelerator
-from repro.core.journal import JOURNAL_KIND, SweepJournal, sweep_fingerprint
+from repro.accel.diskcache import DB_FILENAME, DiskCache
+from repro.accel.simcache import SimulationCache
+from repro.core.codesign import CoDesignLoop
 from repro.core.pareto import streaming_sweep_frontier, sweep_dominates
-from repro.core.sweep import SweepEngine, SweepJob, _default_workers
+from repro.core.sweep import SweepEngine, _default_workers
 from repro.core.tuner import design_space_jobs, design_space_sweep
 from repro.models import build_all, squeezenet_v1_1, squeezenext
 
@@ -120,99 +126,114 @@ class TestRunIter:
         assert as_dicts(frontier.points) == as_dicts(batch)
 
 
-class TestJournal:
+class TestResume:
+    """Resuming a sweep means re-running it with the same ``cache_dir``:
+    every point already in the disk tier's network index is served
+    without simulation, the rest are simulated."""
+
     def test_resume_simulates_zero_points(self, tmp_path):
         jobs = small_jobs(sizes=(16, 32), rfs=(8, 16))
-        path = tmp_path / "sweep.jsonl"
-        first = SweepEngine().run(jobs, journal=path)
-        resumed_engine = SweepEngine()
-        resumed = resumed_engine.run(jobs, journal=path)
-        assert resumed_engine.cache_stats.lookups == 0  # no simulation
-        assert as_dicts(resumed) == as_dicts(first)
+        with SweepEngine(cache_dir=tmp_path) as first:
+            cold = first.run(jobs)
+        with SweepEngine(cache_dir=tmp_path) as again:
+            resumed = again.run(jobs)
+            stats = again.cache_stats
+        assert stats.lookups == 0  # no layer was simulated
+        assert stats.disk.network_hits == len(jobs)
+        assert as_dicts(resumed) == as_dicts(cold)
 
-    def test_partial_journal_resumes_remainder_only(self, tmp_path):
-        """A journal truncated mid-run (killed sweep) re-simulates only
-        the missing points, and the stitched results are identical."""
+    def test_abandoned_run_resumes_remainder_only(self, tmp_path):
+        """A consumer that stops after k points leaves exactly those k
+        in the network index; the re-run simulates only the rest."""
         jobs = small_jobs(sizes=(8, 16, 24, 32), rfs=(8,))
-        path = tmp_path / "sweep.jsonl"
-        full = SweepEngine().run(jobs, journal=path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:3]) + "\n")  # header + 2 points
-        engine = SweepEngine()
-        resumed = engine.run(jobs, journal=path)
-        assert as_dicts(resumed) == as_dicts(full)
-        assert engine.cache_stats.lookups > 0  # the remainder simulated
-        # ... and the journal was topped back up to every point.
-        assert SweepJournal(path, _fingerprint_of(path)).completed().keys() \
-            == set(range(len(jobs)))
+        k = 2
+        with SweepEngine(cache_dir=tmp_path, max_workers=1) as first:
+            stream = first.run_iter(jobs)
+            for _ in range(k):
+                next(stream)
+            stream.close()
+        with SweepEngine(cache_dir=tmp_path) as again:
+            resumed = again.run(jobs)
+            disk = again.cache_stats.disk
+        assert disk.network_hits == k
+        assert disk.network_misses == len(jobs) - k
+        assert as_dicts(resumed) == as_dicts(SweepEngine().run(jobs))
 
-    def test_torn_tail_line_is_skipped(self, tmp_path):
-        jobs = small_jobs(sizes=(16, 32), rfs=(8,))
-        path = tmp_path / "sweep.jsonl"
-        full = SweepEngine().run(jobs, journal=path)
-        with open(path, "a") as handle:
-            handle.write('{"index": 9, "label": "torn')  # killed mid-write
-        resumed = SweepEngine().run(jobs, journal=path)
-        assert as_dicts(resumed) == as_dicts(full)
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_killed_run_resumes_remainder_only(self, tmp_path):
+        """SIGKILL runs no ``finally``: with ``flush_every=1`` every
+        finished point is already committed, so the re-run serves
+        exactly the k points the killed child completed."""
+        jobs = small_jobs(sizes=(8, 16, 24, 32), rfs=(8,))
+        k = 3
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: sweep k points, report, wait for the kill
+            try:
+                os.close(read_fd)
+                disk = DiskCache(tmp_path, flush_every=1)
+                engine = SweepEngine(
+                    max_workers=1, cache=SimulationCache(disk=disk))
+                for done, _ in enumerate(engine.run_iter(jobs), 1):
+                    if done == k:
+                        os.write(write_fd, b"k")
+                        time.sleep(60)
+            finally:
+                os._exit(1)
+        os.close(write_fd)
+        try:
+            assert os.read(read_fd, 1) == b"k"
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_fd)
+        with SweepEngine(cache_dir=tmp_path) as again:
+            resumed = again.run(jobs)
+            disk = again.cache_stats.disk
+        assert disk.network_hits == k
+        assert disk.network_misses == len(jobs) - k
+        assert as_dicts(resumed) == as_dicts(SweepEngine().run(jobs))
 
-    def test_fingerprint_mismatch_restarts(self, tmp_path):
-        """A journal from a *different* sweep must never seed this one."""
-        path = tmp_path / "sweep.jsonl"
-        other = small_jobs(sizes=(8,), rfs=(4,))
-        SweepEngine().run(other, journal=path)
-        jobs = small_jobs(sizes=(16, 32), rfs=(8,))
-        engine = SweepEngine()
-        points = engine.run(jobs, journal=path)
-        assert engine.cache_stats.lookups > 0  # really re-simulated
-        assert as_dicts(points) == as_dicts(SweepEngine().run(jobs))
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header["kind"] == JOURNAL_KIND
-        assert header["fingerprint"] == _fingerprint_of(path)
-        assert len(path.read_text().splitlines()) == 1 + len(jobs)
+    def test_different_jobs_simulate_only_new_points(self, tmp_path):
+        """Points are keyed one by one, so another sweep over the same
+        directory reuses the shared points and simulates the rest."""
+        with SweepEngine(cache_dir=tmp_path) as first:
+            first.run(small_jobs(sizes=(16, 32), rfs=(8,)))
+        jobs = small_jobs(sizes=(8, 16, 32), rfs=(8, 16))
+        with SweepEngine(cache_dir=tmp_path) as engine:
+            points = engine.run(jobs)
+            disk = engine.cache_stats.disk
+        assert disk.network_hits == 2  # 16x16/rf8 and 32x32/rf8
+        assert disk.network_misses == len(jobs) - 2
+        assert as_dicts(points) == as_dicts(
+            SweepEngine(use_cache=False).run(jobs))
 
-    def test_auto_journal_via_resume_flag(self, tmp_path):
-        """resume=True + cache_dir journals without explicit wiring."""
-        jobs = small_jobs(sizes=(16, 32), rfs=(8,))
-        with SweepEngine(cache_dir=tmp_path, resume=True) as first:
-            first.run(jobs)
-        journals = list((tmp_path / "journals").glob("*.jsonl"))
-        assert len(journals) == 1
-        with SweepEngine(cache_dir=tmp_path, resume=True) as again:
-            again.run(jobs)
-            # Zero lookups: every point came from the journal — a disk
-            # cache hit would still have counted as a lookup.
-            assert again.cache_stats.lookups == 0
-
-    def test_resume_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SWEEP_RESUME", "1")
-        monkeypatch.setenv("SWEEP_CACHE_DIR", str(tmp_path))
-        jobs = small_jobs(sizes=(16,), rfs=(8,))
-        with SweepEngine() as first:
-            assert first.resume and first.cache_dir == str(tmp_path)
-            first.run(jobs)
-        with SweepEngine() as again:
-            again.run(jobs)
-            assert again.cache_stats.lookups == 0
-
-    def test_journal_in_process_mode(self, tmp_path):
+    def test_resume_in_process_mode(self, tmp_path):
         jobs = small_jobs(sizes=(16, 32), rfs=(8, 16))
-        path = tmp_path / "proc.jsonl"
-        first = SweepEngine(mode="process", max_workers=2).run(
-            jobs, journal=path)
-        engine = SweepEngine(mode="process", max_workers=2)
-        resumed = engine.run(jobs, journal=path)
+        with SweepEngine(mode="process", max_workers=2,
+                         cache_dir=tmp_path) as cold:
+            first = cold.run(jobs)
+        # The parent never simulates in process mode; the workers'
+        # chunk flushes must have landed every point in the index.
+        with closing(sqlite3.connect(tmp_path / DB_FILENAME)) as conn:
+            (rows,) = conn.execute("SELECT COUNT(*) FROM networks").fetchone()
+        assert rows == len(jobs)
+        with SweepEngine(mode="process", max_workers=2,
+                         cache_dir=tmp_path) as again:
+            resumed = again.run(jobs)
         assert as_dicts(resumed) == as_dicts(first)
-        assert engine.cache_stats.lookups == 0
 
-    def test_sweep_fingerprint_sensitivity(self):
-        base = [("a", 1), ("b", 2)]
-        assert sweep_fingerprint(base) == sweep_fingerprint(list(base))
-        assert sweep_fingerprint(base) != sweep_fingerprint(base[::-1])
-        assert sweep_fingerprint(base) != sweep_fingerprint(base[:1])
-
-
-def _fingerprint_of(path):
-    return json.loads(path.read_text().splitlines()[0])["fingerprint"]
+    def test_codesign_loop_resumes_from_cache_dir(self, tmp_path):
+        runs = []
+        for _ in range(2):
+            with SweepEngine(cache_dir=tmp_path) as engine:
+                result = CoDesignLoop(squeezenet_v1_1(), engine=engine).run()
+                runs.append((result.narrative, engine.cache_stats))
+        (cold_text, cold_stats), (warm_text, warm_stats) = runs
+        assert cold_stats.disk.network_misses > 0
+        assert warm_stats.disk.network_misses == 0
+        assert warm_stats.lookups == 0
+        assert warm_text == cold_text
 
 
 class TestDesignSpace:
