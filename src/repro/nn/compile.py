@@ -62,7 +62,7 @@ import numpy as np
 from repro import obs
 from repro.nn import layers
 from repro.nn.functional import conv_output_plane
-from repro.nn.infer import InferencePlan, _ModuleStep
+from repro.nn.infer import BufferArena, InferencePlan, _ModuleStep
 from repro.nn.module import Identity, no_grad
 from repro.nn.quant import (
     QuantizedIdentity,
@@ -1115,6 +1115,16 @@ class CompiledPlan:
     @property
     def plan(self) -> Union[InferencePlan, QuantizedInferencePlan]:
         return self._plan
+
+    @property
+    def arena(self) -> BufferArena:
+        """The interpreted fallback plan's arena.
+
+        Only fallback runs touch it: each compiled program binds its own
+        static block per thread, which this arena neither holds nor
+        counts.
+        """
+        return self._plan.arena
 
     @property
     def batch_sizes(self) -> Tuple[int, ...]:

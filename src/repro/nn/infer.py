@@ -497,19 +497,13 @@ class PlanStep:
             f"{self.name:<24} {label}")
 
 
-class InferencePlan:
-    """A fused, memory-planned eval program for one network.
+class _PlanBase:
+    """Scaffolding shared by the float and the integer interpreted plan.
 
-    ``run`` executes the steps in graph order under ``no_grad``,
-    releasing every activation at its last use and recycling buffers
-    through the shared :class:`BufferArena`.
-
-    **Threading contract:** one plan serves one thread at a time — the
-    arena is unlocked and ``last_peak_live_bytes`` is per-run state.
-    Concurrent executors (the :mod:`repro.serve` worker pool) call
-    :meth:`clone` once per thread; clones share the immutable fused
-    weights, so the memory cost is one arena's activations per thread,
-    not a second copy of the model.
+    Both hold graph-ordered :class:`PlanStep` lists, a liveness release
+    schedule and a private :class:`BufferArena`; subclasses add ``run``
+    and say in :meth:`_replica` how to rebuild themselves around a list
+    of steps.
     """
 
     def __init__(self, steps: List[PlanStep], input_names: Set[str],
@@ -529,21 +523,40 @@ class InferencePlan:
     def fused_step_count(self) -> int:
         return sum(1 for s in self.steps if s.fused)
 
-    def clone(self) -> "InferencePlan":
+    def clone(self):
         """A replica safe to run on another thread.
 
-        Fused conv/dense ops are shared (they only read their weight
-        snapshots), unfused module fallbacks are copied (they flip
-        ``training`` around each call), and the clone gets a fresh
-        private :class:`BufferArena` with its own counters.
+        Fused and quantized ops are shared (they only read their weight
+        snapshots; per-run stats travel through the plan, not the op),
+        unfused module fallbacks are copied (they flip ``training``
+        around each call), and the clone gets a fresh private
+        :class:`BufferArena` with its own counters.
         """
-        steps = [
+        return self._replica([
             PlanStep(s.name, s.kind, s.inputs,
                      s.op.clone() if isinstance(s.op, _ModuleStep) else s.op,
                      s.fused)
             for s in self.steps
-        ]
-        return InferencePlan(steps, set(self.input_names), BufferArena())
+        ])
+
+
+class InferencePlan(_PlanBase):
+    """A fused, memory-planned eval program for one network.
+
+    ``run`` executes the steps in graph order under ``no_grad``,
+    releasing every activation at its last use and recycling buffers
+    through the shared :class:`BufferArena`.
+
+    **Threading contract:** one plan serves one thread at a time — the
+    arena is unlocked and ``last_peak_live_bytes`` is per-run state.
+    Concurrent executors (the :mod:`repro.serve` worker pool) call
+    :meth:`clone` once per thread; clones share the immutable fused
+    weights, so the memory cost is one arena's activations per thread,
+    not a second copy of the model.
+    """
+
+    def _replica(self, steps: List[PlanStep]) -> "InferencePlan":
+        return InferencePlan(steps, set(self.input_names))
 
     def quantize(self, bits: int = 16):
         """Lower this plan to integer execution.

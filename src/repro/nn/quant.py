@@ -54,9 +54,8 @@ from repro.nn.infer import (
     BufferArena,
     InferencePlan,
     PlanStep,
-    _ModuleStep,
+    _PlanBase,
     build_inference_plan,
-    liveness_release_schedule,
     release_dead,
 )
 from repro.nn.module import Identity, no_grad
@@ -526,7 +525,7 @@ class QuantizedIdentity:
         return q_x, x_scales
 
 
-class QuantizedInferencePlan:
+class QuantizedInferencePlan(_PlanBase):
     """An integer-activation twin of :class:`~repro.nn.infer.InferencePlan`.
 
     Built by :func:`quantize_plan` from a float plan: fused conv/dense
@@ -549,44 +548,17 @@ class QuantizedInferencePlan:
 
     def __init__(self, steps: List[PlanStep], input_names: Set[str],
                  bits: int, arena: Optional[BufferArena] = None) -> None:
-        if not steps:
-            raise ValueError("empty plan")
         if not 2 <= bits <= 16:
             raise ValueError("quantized plans support bits in [2, 16]")
-        self.steps = steps
-        self.input_names = input_names
+        super().__init__(steps, input_names, arena)
         self.bits = int(bits)
         self.qmax = 2 ** (bits - 1) - 1
         self.dtype = activation_dtype(bits)
-        self.arena = arena or BufferArena()
-        self._releases = liveness_release_schedule(steps, input_names)
-        self.last_peak_live_bytes = 0
         self.last_layer_stats: Dict[str, Dict[str, float]] = {}
 
-    def describe(self) -> str:
-        return "\n".join(step.describe() for step in self.steps)
-
-    @property
-    def fused_step_count(self) -> int:
-        return sum(1 for s in self.steps if s.fused)
-
-    def clone(self) -> "QuantizedInferencePlan":
-        """A replica safe to run on another thread.
-
-        Quantized ops are stateless at run time (per-run stats travel
-        through the plan, not the op) and read-only over their weight
-        arrays, so they are shared; float module fallbacks are cloned
-        (they flip ``training`` around each call); the clone gets a
-        fresh private arena.
-        """
-        steps = [
-            PlanStep(s.name, s.kind, s.inputs,
-                     s.op.clone() if isinstance(s.op, _ModuleStep) else s.op,
-                     s.fused)
-            for s in self.steps
-        ]
+    def _replica(self, steps: List[PlanStep]) -> "QuantizedInferencePlan":
         return QuantizedInferencePlan(steps, set(self.input_names),
-                                      self.bits, BufferArena())
+                                      self.bits)
 
     # -- execution ---------------------------------------------------------
 

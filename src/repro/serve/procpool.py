@@ -9,6 +9,10 @@ The process-mode backend of :class:`repro.serve.Server`.  Topology:
   (:func:`~repro.nn.infer.plan_from_template`) with a private
   :class:`~repro.nn.infer.BufferArena`.  N workers cost one copy of
   the model plus N arenas — same bill as thread mode, without the GIL.
+* **The worker job** — :class:`WorkerRuntime`, shared with thread
+  mode: it builds the executor from the rebuilt plan and the server's
+  :class:`~repro.serve.ServerConfig`, warms it up, and runs, paces and
+  tallies each batch.
 * **Requests** — one small :class:`~repro.serve.shm.ShmRing` per worker
   (single producer, single consumer).  The parent's dispatcher stacks
   a batch, writes it into the next worker's ring (header + monotonic
@@ -21,12 +25,12 @@ The process-mode backend of :class:`repro.serve.Server`.  Topology:
 * **Responses** — one shared ring, every worker producing, the parent's
   collector consuming.  Slots carry per-request status words (delivered
   / expired-in-worker) plus the raw batched output.
-* **Stats** — a per-worker slice of one stats segment: counters, arena
-  stats, batch-size histogram and a full
-  :class:`~repro.obs.LatencyHistogram` state vector, overwritten after
-  each batch under a per-worker lock and folded into
-  :class:`~repro.serve.ServerStats` via the layout-checked
-  ``merge_state``.
+* **Stats** — a per-worker slice of one stats segment holding the
+  runtime's :meth:`~WorkerRuntime.snapshot` (counters, arena stats,
+  batch-size histogram and a full :class:`~repro.obs.LatencyHistogram`
+  state vector), overwritten after each batch under a per-worker lock
+  and folded into :class:`~repro.serve.ServerStats` via the
+  layout-checked ``merge_state``.
 
 Timestamps crossing the boundary are ``time.monotonic()`` — documented
 system-wide on Linux/Windows/macOS (3.10+) — so a deadline stamped in
@@ -37,23 +41,30 @@ prefers ``fork``; under ``spawn`` every config field (notably
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
 import os
 import secrets
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.infer import BufferArena, InferencePlan, PlanTemplate, \
-    export_plan, plan_from_template
+from repro import obs
+from repro.nn.compile import CompiledPlan
+from repro.nn.infer import InferencePlan, PlanTemplate, export_plan, \
+    plan_from_template
+from repro.nn.quant import activation_dtype, quantize_batch
 from repro.obs.hist import LatencyHistogram
 from repro.serve.shm import ArraySpec, RingHandle, ShmRing, SHM_PREFIX, \
     attach_segment, create_segment, destroy_segment, map_arrays, pack_arrays
 
-__all__ = ["ProcessWorkerPool", "Response"]
+if TYPE_CHECKING:
+    from repro.serve.server import ServerConfig
+
+__all__ = ["ProcessWorkerPool", "Response", "WorkerRuntime"]
 
 MSG_BATCH = 0
 MSG_STOP = 1
@@ -66,8 +77,10 @@ _ERROR_MAX = 16384
 _REQ_HEADER = 3   # kind, batch_id, size (int64)
 _RESP_HEADER = 5  # kind, batch_id, worker, size, extra (int64)
 
-#: Stats-slice scalar indices (followed by batch hist + latency state).
-_N_COUNTERS = 9
+#: Stats-slice scalars, in order (followed by batch hist + latency state).
+_COUNTERS = ("completed", "failed", "expired", "batches")
+_ARENA = ("hits", "misses", "releases", "trims", "held_bytes")
+_N_COUNTERS = len(_COUNTERS) + len(_ARENA)
 
 
 @dataclass(frozen=True)
@@ -90,16 +103,10 @@ class _WorkerSetup:
     manifest: Tuple[ArraySpec, ...]
     template: PlanTemplate
     input_shape: Tuple[int, ...]
-    output_shape: Tuple[int, ...]
-    max_batch: int
-    service_time: Optional[Callable[[int], float]]
-    arena_trim_bytes: Optional[int]
+    config: "ServerConfig"
     stats_name: str
     stats_offset: int               # in float64 elements
     stats_len: int
-    compiled: bool = False
-    warmup: bool = True
-    quantized_bits: Optional[int] = None
 
 
 def _choose_context(start_method: Optional[str]):
@@ -113,76 +120,192 @@ def _stats_slice_len(max_batch: int) -> int:
     return _N_COUNTERS + max_batch + LatencyHistogram().state_len()
 
 
-# -- worker process ----------------------------------------------------------
+# -- the worker job (thread and process workers alike) -----------------------
 
 
-class _WorkerState:
-    """Worker-local tallies mirrored into the shared stats slice."""
+class WorkerRuntime:
+    """One serving worker's job, the same in a thread and in a process.
 
-    def __init__(self, max_batch: int) -> None:
+    Built from ``(plan, config, input_shape)``, it owns:
+
+    * the executor — the plan, its ``quantize(config.quantized_bits)``
+      lowering when set, wrapped in a
+      :class:`~repro.nn.compile.CompiledPlan` (batch sizes 1 and
+      ``max_batch_size`` eagerly, others on first use) when
+      ``config.compiled`` is;
+    * :meth:`warm_up`, one dummy batch before the first request;
+    * :meth:`run`, one batch: execute, sleep out
+      ``config.service_time``, tally, trim the arena;
+    * :meth:`snapshot`, the tallies in the form
+      :meth:`ProcessWorkerPool.worker_snapshots` returns.
+
+    A runtime is single-threaded, like the arena it drives: its worker
+    publishes snapshots, and readers merge those, never the runtime.
+    """
+
+    def __init__(self, plan: InferencePlan, config: "ServerConfig",
+                 input_shape: Optional[Tuple[int, ...]],
+                 index: int = 0) -> None:
+        self.config = config
+        self.input_shape = (tuple(input_shape) if input_shape is not None
+                            else None)
+        self.index = index
+        executor = plan
+        if config.quantized_bits is not None:
+            executor = executor.quantize(config.quantized_bits)
+        if config.compiled:
+            executor = CompiledPlan(executor, self.input_shape,
+                                    batch_sizes=(1, config.max_batch_size),
+                                    autocompile=True)
+        self.executor = executor
+        self._reset()
+
+    def _reset(self) -> None:
+        self.warmed = False
         self.completed = 0
         self.failed = 0
         self.expired = 0
         self.batches = 0
-        self.batch_hist = np.zeros(max_batch, dtype=np.float64)
+        self.batch_hist = np.zeros(self.config.max_batch_size,
+                                   dtype=np.float64)
         self.latency = LatencyHistogram()
 
-    def publish(self, view: np.ndarray, arena: BufferArena) -> None:
-        stats = arena.stats()
-        view[0] = self.completed
-        view[1] = self.failed
-        view[2] = self.expired
-        view[3] = self.batches
-        view[4] = stats["hits"]
-        view[5] = stats["misses"]
-        view[6] = stats["releases"]
-        view[7] = stats["trims"]
-        view[8] = stats["held_bytes"]
-        n = len(self.batch_hist)
-        view[_N_COUNTERS:_N_COUNTERS + n] = self.batch_hist
-        self.latency.write_state(view[_N_COUNTERS + n:])
+    def clone(self, index: int) -> "WorkerRuntime":
+        """A replica for another thread with fresh tallies.
+
+        The executor clone shares the weights (and compiled programs)
+        and brings its own arena.
+        """
+        replica = copy.copy(self)
+        replica.index = index
+        replica.executor = self.executor.clone()
+        replica._reset()
+        return replica
+
+    def warm_up(self) -> None:
+        """One dummy batch so the first real request pays no cold-start.
+
+        Binds the compiled program (or faults in the interpreted arena's
+        peak-shape buffers) outside any request's latency window.
+        Failures are deliberately swallowed: a plan that cannot run
+        zeros will fail the first real batch with the genuine error.
+        """
+        if not self.config.warmup or self.input_shape is None:
+            return
+        try:
+            with obs.span("serve.warmup", worker=self.index):
+                self.executor.run(np.zeros((1,) + self.input_shape))
+            obs.count("serve.warmup")
+        except Exception:  # noqa: BLE001 - first real batch will surface it
+            pass
+        self.warmed = True
+
+    def run(self, xs, submits: Sequence[float],
+            scales: Optional[np.ndarray] = None) -> np.ndarray:
+        """Execute one batch, pace it, tally it and trim the arena.
+
+        ``xs`` is the stacked batch, or the list of single images to
+        stack.  ``submits`` holds the monotonic submit stamps of the
+        requests to count: all of the batch except any that expired
+        before execution (they still ride along and pace the batch).
+        ``scales`` marks a batch of pre-quantized levels for
+        ``run_quantized``.  A failure is counted against those requests
+        and re-raised.
+        """
+        began = time.monotonic()
+        try:
+            with obs.span("serve.batch", worker=self.index, size=len(xs)):
+                if isinstance(xs, list):
+                    xs = np.stack(xs)
+                out = (self.executor.run(xs) if scales is None
+                       else self.executor.run_quantized(xs, scales))
+            if self.config.service_time is not None:
+                pause = (self.config.service_time(len(xs))
+                         - (time.monotonic() - began))
+                if pause > 0:
+                    time.sleep(pause)
+        except BaseException:
+            self.failed += len(submits)
+            self.batches += 1
+            raise
+        finally:
+            if self.config.arena_trim_bytes is not None:
+                self.executor.arena.trim(self.config.arena_trim_bytes)
+        done = time.monotonic()
+        self.completed += len(submits)
+        self.batches += 1
+        self.batch_hist[len(submits) - 1] += 1
+        for stamp in submits:
+            self.latency.record((done - stamp) * 1e6)
+        return out
+
+    def snapshot(self) -> dict:
+        """Counters, arena stats, batch-size and latency histograms."""
+        latency_state = np.empty(self.latency.state_len())
+        self.latency.write_state(latency_state)
+        return {
+            "completed": self.completed,
+            "failed": self.failed,
+            "expired": self.expired,
+            "batches": self.batches,
+            "arena": self.executor.arena.stats(),
+            "batch_hist": self.batch_hist.copy(),
+            "latency_state": latency_state,
+        }
+
+
+def _write_snapshot(view: np.ndarray, snapshot: dict) -> None:
+    """Pack a :meth:`WorkerRuntime.snapshot` into a stats slice."""
+    view[:_N_COUNTERS] = ([snapshot[key] for key in _COUNTERS]
+                          + [snapshot["arena"][key] for key in _ARENA])
+    n = len(snapshot["batch_hist"])
+    view[_N_COUNTERS:_N_COUNTERS + n] = snapshot["batch_hist"]
+    view[_N_COUNTERS + n:] = snapshot["latency_state"]
+
+
+def _read_snapshot(row: np.ndarray, max_batch: int) -> dict:
+    """The inverse of :func:`_write_snapshot`."""
+    snapshot = {key: int(row[i]) for i, key in enumerate(_COUNTERS)}
+    snapshot["arena"] = {key: int(row[len(_COUNTERS) + i])
+                         for i, key in enumerate(_ARENA)}
+    snapshot["batch_hist"] = row[_N_COUNTERS:_N_COUNTERS + max_batch]
+    snapshot["latency_state"] = row[_N_COUNTERS + max_batch:]
+    return snapshot
+
+
+# -- worker process ----------------------------------------------------------
 
 
 def _worker_main(setup: _WorkerSetup, req_handle: RingHandle,
                  resp_handle: RingHandle, stats_lock, stop_event) -> None:
     weights = attach_segment(setup.weights_name)
     arrays = map_arrays(weights, setup.manifest)
-    plan = plan_from_template(setup.template, arrays)
-    executor = plan
+    # The runtime quantizes and compiles over the zero-copy shm weight
+    # views.  Quantization is deterministic, so every worker (and the
+    # dispatching parent) derives the same integer levels with no
+    # second weight segment: each worker only adds its arena.
+    runtime = WorkerRuntime(plan_from_template(setup.template, arrays),
+                            setup.config, setup.input_shape, setup.index)
     qdtype = None
-    if setup.quantized_bits is not None:
-        # Quantization is deterministic, so re-deriving the integer
-        # plan from the shared float weights gives every worker (and
-        # the dispatching parent) the same levels — no second weight
-        # segment needed.
-        from repro.nn.quant import activation_dtype
-        executor = plan.quantize(setup.quantized_bits)
-        qdtype = activation_dtype(setup.quantized_bits)
-    run_arena = executor.arena
-    if setup.compiled:
-        # Compile over the zero-copy shm weight views (or the integer
-        # plan derived from them): each worker only adds its arena.
-        from repro.nn.compile import CompiledPlan
-        executor = CompiledPlan(executor, setup.input_shape,
-                                batch_sizes=(1, setup.max_batch),
-                                autocompile=True)
-    if setup.warmup:
-        # One dummy batch so the first real request doesn't pay
-        # arena/bind cold-start. Failures surface on real traffic.
-        try:
-            executor.run(np.zeros((1,) + tuple(setup.input_shape)))
-        except BaseException:  # noqa: BLE001 - warm-up is best-effort
-            pass
+    if setup.config.quantized_bits is not None:
+        qdtype = activation_dtype(setup.config.quantized_bits)
     requests = ShmRing.attach(req_handle)
     responses = ShmRing.attach(resp_handle)
     stats_seg = attach_segment(setup.stats_name)
     stats_view = np.ndarray((setup.stats_len,), dtype=np.float64,
                             buffer=stats_seg.buf,
                             offset=setup.stats_offset * 8)
-    state = _WorkerState(setup.max_batch)
+
+    def publish() -> None:
+        snapshot = runtime.snapshot()
+        with stats_lock:
+            _write_snapshot(stats_view, snapshot)
+
     in_elems = int(np.prod(setup.input_shape))
     abort = stop_event.is_set
     try:
+        runtime.warm_up()
+        publish()
         while True:
             message = requests.get(timeout=0.25, abort=abort)
             if message is None:
@@ -216,34 +339,22 @@ def _worker_main(setup: _WorkerSetup, req_handle: RingHandle,
                                        (size,) + tuple(setup.input_shape))
             # The parent stamped these deadlines; monotonic() is the
             # same system-wide clock here, so late ring pickup expires.
-            now = time.monotonic()
             statuses = np.zeros(size, dtype=np.int64)
-            expired = ~np.isnan(deadlines) & (deadlines < now)
+            expired = ~np.isnan(deadlines) & (deadlines < time.monotonic())
             statuses[expired] = STATUS_EXPIRED
-            alive = size - int(expired.sum())
+            runtime.expired += int(expired.sum())
             out = None
             error_text = None
-            if alive:
-                began = time.monotonic()
+            if not expired.all():
                 try:
-                    out = (executor.run_quantized(xs, scales)
-                           if qdtype is not None else executor.run(xs))
-                    if setup.service_time is not None:
-                        pause = (setup.service_time(size)
-                                 - (time.monotonic() - began))
-                        if pause > 0:
-                            time.sleep(pause)
+                    out = runtime.run(xs, submits[~expired], scales)
                 except BaseException:  # noqa: BLE001 - forwarded to callers
                     error_text = traceback.format_exc(limit=20)
-            done = time.monotonic()
-            state.expired += size - alive
             if error_text is not None:
                 data = error_text.encode("utf-8", "replace")[:_ERROR_MAX]
                 header = np.array([RESP_ERROR, batch_id, setup.index, size,
                                    len(data)], dtype="<i8")
                 chunks: List[object] = [header, statuses, data]
-                state.failed += alive
-                state.batches += 1
             else:
                 header = np.array([RESP_OK, batch_id, setup.index, size,
                                    1 if out is not None else 0],
@@ -252,25 +363,15 @@ def _worker_main(setup: _WorkerSetup, req_handle: RingHandle,
                 if out is not None:
                     chunks.append(np.ascontiguousarray(out,
                                                        dtype=np.float64))
-                state.completed += alive
-                if alive:
-                    state.batches += 1
-                    state.batch_hist[alive - 1] += 1
-                    for stamp in submits[~expired]:
-                        state.latency.record((done - stamp) * 1e6)
-            if setup.arena_trim_bytes is not None:
-                run_arena.trim(setup.arena_trim_bytes)
             # Publish stats *before* the response becomes visible, so a
             # stats() read triggered by a resolved future already sees
             # this batch counted.
-            with stats_lock:
-                state.publish(stats_view, run_arena)
+            publish()
             responses.put(chunks, abort=abort)
     finally:
-        with stats_lock:
-            state.publish(stats_view, run_arena)
+        publish()
         # Drop every view into the mappings before unmapping them.
-        del executor, plan, arrays
+        del runtime, arrays
         stats_view = None
         requests.close()
         responses.close()
@@ -291,31 +392,20 @@ class ProcessWorkerPool:
     ``join`` → ``cleanup``.
     """
 
-    def __init__(self, plan: InferencePlan, workers: int,
+    def __init__(self, plan: InferencePlan, config: "ServerConfig",
                  input_shape: Tuple[int, ...],
-                 output_shape: Tuple[int, ...], max_batch: int,
-                 service_time: Optional[Callable[[int], float]] = None,
-                 arena_trim_bytes: Optional[int] = None,
-                 start_method: Optional[str] = None,
-                 compiled: bool = False, warmup: bool = True,
-                 quantized_bits: Optional[int] = None) -> None:
-        self.workers = workers
+                 output_shape: Tuple[int, ...]) -> None:
+        self.config = config
+        self.workers = config.workers
         self.input_shape = tuple(input_shape)
         self.output_shape = tuple(output_shape)
-        self.max_batch = max_batch
-        self._ctx = _choose_context(start_method)
+        self.max_batch = config.max_batch_size
+        self._ctx = _choose_context(config.start_method)
         self._base = f"{SHM_PREFIX}{os.getpid()}_{secrets.token_hex(4)}"
         self._plan = plan
-        self._service_time = service_time
-        self._arena_trim_bytes = arena_trim_bytes
-        self._compiled = compiled
-        self._warmup = warmup
-        self.quantized_bits = quantized_bits
-        if quantized_bits is not None:
-            from repro.nn.quant import activation_dtype
-            self._payload_dtype = np.dtype(activation_dtype(quantized_bits))
-        else:
-            self._payload_dtype = np.dtype(np.float64)
+        self._payload_dtype = np.dtype(
+            np.float64 if config.quantized_bits is None
+            else activation_dtype(config.quantized_bits))
         self.processes: List[object] = []
         self._req_rings: List[ShmRing] = []
         self._resp_ring: Optional[ShmRing] = None
@@ -337,7 +427,7 @@ class ProcessWorkerPool:
         # [| per-sample scales f8, quantized mode] | activation payload
         # in the ring's payload dtype.  At int16 the payload — by far
         # the dominant term — shrinks 4x.
-        stamp_bytes = 16 if self.quantized_bits is None else 24
+        stamp_bytes = 16 if self.config.quantized_bits is None else 24
         req_bytes = (_REQ_HEADER * 8 + self.max_batch * stamp_bytes
                      + self.max_batch * self._in_elems
                      * self._payload_dtype.itemsize)
@@ -374,16 +464,10 @@ class ProcessWorkerPool:
                 manifest=tuple(manifest),
                 template=template,
                 input_shape=self.input_shape,
-                output_shape=self.output_shape,
-                max_batch=self.max_batch,
-                service_time=self._service_time,
-                arena_trim_bytes=self._arena_trim_bytes,
+                config=self.config,
                 stats_name=f"{self._base}_s",
                 stats_offset=i * slice_len,
                 stats_len=slice_len,
-                compiled=self._compiled,
-                warmup=self._warmup,
-                quantized_bits=self.quantized_bits,
             )
             process = self._ctx.Process(
                 target=_worker_main,
@@ -415,11 +499,10 @@ class ProcessWorkerPool:
         chunks: List[object] = [header,
                                 np.asarray(deadlines, dtype="<f8"),
                                 np.asarray(submits, dtype="<f8")]
-        if self.quantized_bits is not None:
-            from repro.nn.quant import quantize_batch
+        if self.config.quantized_bits is not None:
             q, scales = quantize_batch(
                 np.ascontiguousarray(xs, dtype=np.float64),
-                self.quantized_bits)
+                self.config.quantized_bits)
             chunks.append(np.ascontiguousarray(scales, dtype="<f8"))
             chunks.append(np.ascontiguousarray(q))
         else:
@@ -462,22 +545,7 @@ class ProcessWorkerPool:
         for i in range(self.workers):
             with self._stats_locks[i]:
                 row = self._stats_view[i].copy()
-            snapshots.append({
-                "completed": int(row[0]),
-                "failed": int(row[1]),
-                "expired": int(row[2]),
-                "batches": int(row[3]),
-                "arena": {
-                    "hits": int(row[4]),
-                    "misses": int(row[5]),
-                    "releases": int(row[6]),
-                    "trims": int(row[7]),
-                    "held_bytes": int(row[8]),
-                },
-                "batch_hist": row[_N_COUNTERS:
-                                  _N_COUNTERS + self.max_batch],
-                "latency_state": row[_N_COUNTERS + self.max_batch:],
-            })
+            snapshots.append(_read_snapshot(row, self.max_batch))
         return snapshots
 
     # -- teardown ----------------------------------------------------------

@@ -19,17 +19,20 @@
   (``ServerConfig.worker_mode``):
 
   - ``"thread"`` (default): each worker thread owns a private
-    :meth:`~repro.nn.infer.InferencePlan.clone` plus its own unlocked
-    latency histogram and counters.  Right choice for simulator-paced
-    runs (workers mostly sleep) and bit-for-bit reproducible CI.
+    :class:`~repro.serve.procpool.WorkerRuntime` over a
+    :meth:`~repro.nn.infer.InferencePlan.clone` and publishes its
+    tallies as a snapshot after each batch.  Right choice for
+    simulator-paced runs (workers mostly sleep) and bit-for-bit
+    reproducible CI.
   - ``"process"``: numpy inference holds the GIL, so thread workers
     *contend* instead of scaling on real host compute.  Process mode
     publishes the fused weights once via
     :mod:`multiprocessing.shared_memory`, forks worker processes that
-    map them zero-copy (:mod:`repro.serve.procpool`), and moves
-    batches over pickle-free shared-memory rings.  Admission control
-    and the dynamic batcher stay in the parent; responses remain
-    bit-identical to direct plan execution.
+    map them zero-copy and run the same worker runtime
+    (:mod:`repro.serve.procpool`), and moves batches over pickle-free
+    shared-memory rings.  Admission control and the dynamic batcher
+    stay in the parent; responses remain bit-identical to direct plan
+    execution.
 
 * **Graceful shutdown** — ``shutdown()`` stops admissions, then (by
   default) drains: queued requests are still executed, workers finish
@@ -64,6 +67,8 @@ import numpy as np
 from repro import obs
 from repro.nn.infer import BufferArena, InferencePlan
 from repro.obs.hist import LatencyHistogram
+from repro.serve.procpool import STATUS_EXPIRED, ProcessWorkerPool, \
+    WorkerRuntime
 from repro.serve.request import (
     DeadlineExceeded,
     PendingResponse,
@@ -74,11 +79,6 @@ from repro.serve.request import (
 )
 
 __all__ = ["Server", "ServerConfig", "ServerStats"]
-
-#: Latency histograms record microseconds; the default layout resolves
-#: 1µs .. 100s, which covers everything a numpy forward pass can do.
-_US = 1e6
-
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -99,7 +99,10 @@ class ServerConfig:
     the decision guide).  ``arena_trim_bytes`` caps each worker
     arena's free-list high water — between batches, buffers above the
     cap are evicted largest-first so long-running servers release
-    peak-shape scratch.  ``start_method`` overrides the
+    peak-shape scratch.  With ``compiled`` that arena is the
+    interpreted fallback plan's, and ``stats().arena`` reports only
+    it: the static block a worker binds per compiled batch size is
+    neither trimmed nor counted.  ``start_method`` overrides the
     multiprocessing start method in process mode (default: ``fork``
     where available; under ``spawn``, ``service_time`` must be
     picklable).
@@ -231,43 +234,23 @@ _SENTINEL = None  # queue poison pill; one per consumer at shutdown
 
 
 class _Worker:
-    """One thread-pool member: a plan replica plus unlocked telemetry.
+    """One thread-pool member: its runtime and the last snapshot it published.
 
-    ``exec`` is what batches actually run through — the plan itself,
-    or its :class:`~repro.nn.compile.CompiledPlan` wrapper when
-    ``ServerConfig.compiled`` is set (``plan`` then doubles as the
-    wrapper's interpreted fallback).  The lock only serializes the
-    worker against ``Server.stats()`` snapshots — the hot path never
-    contends (stats calls are rare).
+    Only the worker thread touches the runtime (its arena is
+    unlocked); ``Server.stats()`` reads ``snapshot``, swapped under
+    ``lock`` after warm-up and after each batch (``None`` until then).
     """
 
-    def __init__(self, index: int, plan: InferencePlan,
-                 executor=None) -> None:
-        self.index = index
-        self.plan = plan
-        self.exec = executor if executor is not None else plan
-        self.warmed = False
+    def __init__(self, runtime: WorkerRuntime) -> None:
+        self.runtime = runtime
         self.thread: Optional[threading.Thread] = None
         self.lock = threading.Lock()
-        self.completed = 0
-        self.failed = 0
-        self.expired = 0
-        self.batches = 0
-        self.batch_size_hist: Dict[int, int] = {}
-        self.latency = LatencyHistogram()
+        self.snapshot: Optional[dict] = None
 
-
-class _ExpirySink:
-    """Where dequeue-time expiries are counted.
-
-    Thread workers count their own; in process mode the parent's
-    dispatcher thread owns this sink (worker processes count expiries
-    that happen after dispatch separately, in their stats slices).
-    """
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.expired = 0
+    def publish(self) -> None:
+        snapshot = self.runtime.snapshot()
+        with self.lock:
+            self.snapshot = snapshot
 
 
 class Server:
@@ -306,22 +289,9 @@ class Server:
             # One shared (quantized, compiled) lowering of the plan;
             # worker clones share its weights and immutable programs
             # and add only a private arena each.
-            base = plan
-            if self.config.quantized_bits is not None:
-                base = base.quantize(self.config.quantized_bits)
-            if self.config.compiled:
-                from repro.nn.compile import CompiledPlan
-
-                base = CompiledPlan(
-                    base, self.input_shape,
-                    batch_sizes=(1, self.config.max_batch_size),
-                    autocompile=True)
-            self._workers = []
-            for i in range(self.config.workers):
-                executor = base.clone()
-                self._workers.append(_Worker(
-                    i, executor.plan if self.config.compiled else executor,
-                    executor))
+            base = WorkerRuntime(plan, self.config, self.input_shape)
+            self._workers = [_Worker(base.clone(i))
+                             for i in range(self.config.workers)]
         # Guards the lifecycle flags and the submit-side counters; also
         # serializes submits against shutdown so no request can slip
         # into the queue behind the poison pills.
@@ -334,12 +304,12 @@ class Server:
         self._accepted = 0
         self._rejected_queue_full = 0
         self._cancelled = 0
+        self._queue_expired = 0  # expired before reaching a worker
         # -- process-mode state -------------------------------------------
-        self._procpool = None
+        self._procpool: Optional[ProcessWorkerPool] = None
         self._dispatcher: Optional[threading.Thread] = None
         self._collector: Optional[threading.Thread] = None
         self._collector_stop = threading.Event()
-        self._dispatch_sink = _ExpirySink()
         self._pending: Dict[int, Tuple[int, List[_WorkItem]]] = {}
         self._pending_lock = threading.Lock()
         self._next_batch_id = 0
@@ -379,14 +349,13 @@ class Server:
             for worker in self._workers:
                 thread = threading.Thread(
                     target=self._worker_loop, args=(worker,),
-                    name=f"{self.name}-worker-{worker.index}", daemon=True)
+                    name=f"{self.name}-worker-{worker.runtime.index}",
+                    daemon=True)
                 worker.thread = thread
                 thread.start()
         return self
 
     def _start_process_pool(self) -> None:
-        from repro.serve.procpool import ProcessWorkerPool
-
         # One probe run pins the output shape the response ring must
         # hold; the parent plan is idle afterwards, so release its
         # scratch instead of pinning a full activation set.
@@ -396,15 +365,7 @@ class Server:
         del probe
         self._plan.arena.clear()
         self._procpool = ProcessWorkerPool(
-            self._plan, workers=self.config.workers,
-            input_shape=self.input_shape, output_shape=output_shape,
-            max_batch=self.config.max_batch_size,
-            service_time=self.config.service_time,
-            arena_trim_bytes=self.config.arena_trim_bytes,
-            start_method=self.config.start_method,
-            compiled=self.config.compiled,
-            warmup=self.config.warmup,
-            quantized_bits=self.config.quantized_bits).start()
+            self._plan, self.config, self.input_shape, output_shape).start()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name=f"{self.name}-dispatch",
             daemon=True)
@@ -473,11 +434,6 @@ class Server:
             for worker in self._workers:
                 if worker.thread is not None:
                     worker.thread.join(timeout)
-                if worker.thread is None or not worker.thread.is_alive():
-                    # Release recycled activation buffers (counters
-                    # survive for post-mortem stats; only the memory
-                    # goes).
-                    worker.plan.arena.clear()
         with self._lock:
             self._joined = True
             self._stopped_at = time.monotonic()
@@ -569,16 +525,18 @@ class Server:
 
     # -- batching (shared by thread workers and the dispatcher) ------------
 
-    def _expire(self, sink, item: _WorkItem) -> None:
+    def _expire(self, item: _WorkItem) -> None:
+        # Count before failing, so stats() read after the future
+        # resolves already includes it.
+        with self._lock:
+            self._queue_expired += 1
         item.response._fail(DeadlineExceeded(
             f"deadline expired after "
             f"{(time.monotonic() - item.response.submitted_at) * 1e3:.1f}"
             f"ms in queue"))
-        with sink.lock:
-            sink.expired += 1
         obs.count("serve.expired")
 
-    def _collect_batch(self, sink,
+    def _collect_batch(self,
                        first: _WorkItem) -> Tuple[List[_WorkItem], bool]:
         """Coalesce up to max_batch_size items or max_wait_ms of waiting.
 
@@ -600,7 +558,7 @@ class Server:
                 stop = True
                 break
             if item.expired(time.monotonic()):
-                self._expire(sink, item)
+                self._expire(item)
                 continue
             batch.append(item)
         return batch, stop
@@ -608,75 +566,45 @@ class Server:
     # -- the thread worker loop --------------------------------------------
 
     def _execute(self, worker: _Worker, batch: List[_WorkItem]) -> None:
-        size = len(batch)
-        started = time.monotonic()
         try:
-            with obs.span("serve.batch", worker=worker.index, size=size):
-                xs = np.stack([item.x for item in batch])
-                out = worker.exec.run(xs)
+            out = worker.runtime.run(
+                [item.x for item in batch],
+                [item.response.submitted_at for item in batch])
         except BaseException as error:  # noqa: BLE001 - forwarded to callers
+            worker.publish()
             for item in batch:
                 item.response._fail(error)
-            with worker.lock:
-                worker.failed += size
-                worker.batches += 1
-            obs.count("serve.failed", size)
+            obs.count("serve.failed", len(batch))
             return
-        if self.config.service_time is not None:
-            target = self.config.service_time(size)
-            pause = target - (time.monotonic() - started)
-            if pause > 0:
-                time.sleep(pause)
-        now = time.monotonic()
-        with worker.lock:
-            worker.batches += 1
-            worker.completed += size
-            worker.batch_size_hist[size] = (
-                worker.batch_size_hist.get(size, 0) + 1)
-            for item in batch:
-                worker.latency.record(
-                    (now - item.response.submitted_at) * _US)
+        # Publish before completing, so a stats() read triggered by a
+        # resolved future already sees this batch counted.
+        worker.publish()
         # Hand each caller its own copy so responses never alias the
         # batch buffer (or each other) once the arena recycles.
         for i, item in enumerate(batch):
             item.response._complete(out[i].copy())
-        obs.count("serve.completed", size)
-        if self.config.arena_trim_bytes is not None:
-            worker.plan.arena.trim(self.config.arena_trim_bytes)
-
-    def _warmup_worker(self, worker: _Worker) -> None:
-        """One dummy batch so the first real request pays no cold-start.
-
-        Binds the compiled program (or faults in the interpreted
-        arena's peak-shape buffers) on the worker's own thread, outside
-        any request's latency window.  Failures are deliberately
-        swallowed: a plan that cannot run zeros will fail the first
-        real batch with the genuine error.
-        """
-        if not self.config.warmup or self.input_shape is None:
-            return
-        try:
-            dummy = np.zeros((1,) + self.input_shape, dtype=np.float64)
-            with obs.span("serve.warmup", worker=worker.index):
-                worker.exec.run(dummy)
-            obs.count("serve.warmup")
-        except Exception:  # noqa: BLE001 - first real batch will surface it
-            pass
-        worker.warmed = True
+        obs.count("serve.completed", len(batch))
 
     def _worker_loop(self, worker: _Worker) -> None:
-        self._warmup_worker(worker)
-        while True:
-            item = self._queue.get()
-            if item is _SENTINEL:
-                return
-            if item.expired(time.monotonic()):
-                self._expire(worker, item)
-                continue
-            batch, stop = self._collect_batch(worker, item)
-            self._execute(worker, batch)
-            if stop:
-                return
+        worker.runtime.warm_up()
+        worker.publish()
+        try:
+            while True:
+                item = self._queue.get()
+                if item is _SENTINEL:
+                    return
+                if item.expired(time.monotonic()):
+                    self._expire(item)
+                    continue
+                batch, stop = self._collect_batch(item)
+                self._execute(worker, batch)
+                if stop:
+                    return
+        finally:
+            # Release recycled activation buffers; the counters survive
+            # in the final snapshot for post-mortem stats.
+            worker.runtime.executor.arena.clear()
+            worker.publish()
 
     # -- the process-mode parent threads -----------------------------------
 
@@ -687,9 +615,9 @@ class Server:
             if item is _SENTINEL:
                 break
             if item.expired(time.monotonic()):
-                self._expire(self._dispatch_sink, item)
+                self._expire(item)
                 continue
-            batch, stop = self._collect_batch(self._dispatch_sink, item)
+            batch, stop = self._collect_batch(item)
             self._dispatch_batch(batch)
             if stop:
                 break
@@ -699,10 +627,10 @@ class Server:
 
     def _fail_batch(self, batch: List[_WorkItem],
                     error: BaseException) -> None:
-        for item in batch:
-            item.response._fail(error)
         with self._lock:
             self._parent_failed += len(batch)
+        for item in batch:
+            item.response._fail(error)
         obs.count("serve.failed", len(batch))
 
     def _dispatch_batch(self, batch: List[_WorkItem]) -> None:
@@ -753,8 +681,6 @@ class Server:
                 return
 
     def _complete_response(self, response) -> None:
-        from repro.serve.procpool import STATUS_EXPIRED
-
         with self._pending_lock:
             entry = self._pending.pop(response.batch_id, None)
         if entry is None:
@@ -801,6 +727,19 @@ class Server:
 
     # -- telemetry ---------------------------------------------------------
 
+    def _worker_snapshots(self) -> List[dict]:
+        """The latest :meth:`WorkerRuntime.snapshot` of every worker."""
+        if self._final_snapshots is not None:
+            return self._final_snapshots
+        if self._procpool is not None:
+            return self._procpool.worker_snapshots()
+        snapshots = []
+        for worker in self._workers:
+            with worker.lock:
+                if worker.snapshot is not None:
+                    snapshots.append(worker.snapshot)
+        return snapshots
+
     def latency_histogram(self) -> LatencyHistogram:
         """A merged snapshot of the per-worker latency replicas.
 
@@ -811,64 +750,31 @@ class Server:
         percentiles, where ``stats()`` only exposes lifetime ones.
         """
         latency = LatencyHistogram()
-        if self.config.worker_mode == "process":
-            if self._final_snapshots is not None:
-                snapshots = self._final_snapshots
-            elif self._procpool is not None:
-                snapshots = self._procpool.worker_snapshots()
-            else:
-                snapshots = []
-            for snap in snapshots:
-                latency.merge_state(snap["latency_state"])
-        else:
-            for worker in self._workers:
-                with worker.lock:
-                    latency.merge(worker.latency)
+        for snap in self._worker_snapshots():
+            latency.merge_state(snap["latency_state"])
         return latency
 
     def stats(self) -> ServerStats:
-        """Merge server counters and per-worker replicas into a snapshot."""
+        """Merge server counters and per-worker snapshots into a snapshot."""
         latency = LatencyHistogram()
         batches = completed = failed = expired = 0
         batch_size_hist: Dict[int, int] = {}
-        if self.config.worker_mode == "process":
-            if self._final_snapshots is not None:
-                snapshots = self._final_snapshots
-            elif self._procpool is not None:
-                snapshots = self._procpool.worker_snapshots()
-            else:
-                snapshots = []
-            for snap in snapshots:
-                batches += snap["batches"]
-                completed += snap["completed"]
-                failed += snap["failed"]
-                expired += snap["expired"]
-                for size_index, count in enumerate(snap["batch_hist"]):
-                    if count:
-                        size = size_index + 1
-                        batch_size_hist[size] = (
-                            batch_size_hist.get(size, 0) + int(count))
-                latency.merge_state(snap["latency_state"])
-            with self._dispatch_sink.lock:
-                expired += self._dispatch_sink.expired
-            arena = BufferArena.merge_stats(
-                snap["arena"] for snap in snapshots)
-            with self._lock:
-                failed += self._parent_failed
-        else:
-            for worker in self._workers:
-                with worker.lock:
-                    batches += worker.batches
-                    completed += worker.completed
-                    failed += worker.failed
-                    expired += worker.expired
-                    for size, count in worker.batch_size_hist.items():
-                        batch_size_hist[size] = (
-                            batch_size_hist.get(size, 0) + count)
-                    latency.merge(worker.latency)
-            arena = BufferArena.merge_stats(
-                worker.plan.arena.stats() for worker in self._workers)
+        snapshots = self._worker_snapshots()
+        for snap in snapshots:
+            batches += snap["batches"]
+            completed += snap["completed"]
+            failed += snap["failed"]
+            expired += snap["expired"]
+            for size_index, count in enumerate(snap["batch_hist"]):
+                if count:
+                    size = size_index + 1
+                    batch_size_hist[size] = (
+                        batch_size_hist.get(size, 0) + int(count))
+            latency.merge_state(snap["latency_state"])
+        arena = BufferArena.merge_stats(snap["arena"] for snap in snapshots)
         with self._lock:
+            expired += self._queue_expired
+            failed += self._parent_failed
             accepted = self._accepted
             rejected = self._rejected_queue_full
             cancelled = self._cancelled

@@ -158,22 +158,21 @@ class TestAdmissionControl:
 class TestDeadlines:
     def test_deadline_expires_queued_work(self):
         net = make_net()
-        # One slow worker; everything behind the head of the queue
-        # waits well past a 1ms deadline.
+        # One slow worker busy with a deadline-free head request;
+        # everything queued behind it waits well past a 1ms deadline.
         config = ServerConfig(workers=1, max_batch_size=1, max_wait_ms=0.0,
                               queue_depth=64,
                               service_time=lambda n: 0.05 * n)
+        xs = images(10)
         with Server.for_network(net, config) as server:
-            futures = [server.submit(x, deadline_ms=1.0)
-                       for x in images(10)]
+            futures = [server.submit(xs[0])]
+            futures += [server.submit(x, deadline_ms=1.0) for x in xs[1:]]
             outcomes = [f.exception(timeout=30) for f in futures]
             stats = server.stats()
-        expired = [e for e in outcomes if isinstance(e, DeadlineExceeded)]
-        completed = [e for e in outcomes if e is None]
-        assert expired, "no deadline ever fired"
-        assert completed, "the queue head should still execute"
-        assert stats.expired == len(expired)
-        assert stats.completed == len(completed)
+        assert outcomes[0] is None
+        assert all(isinstance(e, DeadlineExceeded) for e in outcomes[1:])
+        assert stats.expired == 9
+        assert stats.completed == 1
 
     def test_default_deadline_from_config(self):
         net = make_net()
@@ -352,6 +351,55 @@ class TestStats:
         batch_spans = [s for s in tracer.spans if s.name == "serve.batch"]
         assert len(batch_spans) == stats.batches
         assert sum(s.meta["size"] for s in batch_spans) == 8
+
+
+class TestStatsRace:
+    def test_stats_reads_no_worker_arena_from_caller(self, monkeypatch):
+        """Worker arenas are unlocked: only their own thread may read
+        them, even while ``stats()`` is polled and trim runs."""
+        from repro.nn.infer import BufferArena
+
+        readers = {}
+        guard = threading.Lock()
+        stats_fn = BufferArena.stats
+        held_fn = BufferArena.held_bytes.fget
+
+        def record(arena):
+            with guard:
+                readers.setdefault(id(arena), set()).add(
+                    threading.current_thread().name)
+
+        def stats(arena):
+            record(arena)
+            return stats_fn(arena)
+
+        def held_bytes(arena):
+            record(arena)
+            return held_fn(arena)
+
+        monkeypatch.setattr(BufferArena, "stats", stats)
+        monkeypatch.setattr(BufferArena, "held_bytes", property(held_bytes))
+        net = make_net()
+        config = ServerConfig(workers=2, max_batch_size=4, max_wait_ms=1.0,
+                              queue_depth=64, arena_trim_bytes=0)
+        xs = images(4)
+        polls = 0
+        with Server.for_network(net, config, name="race") as server:
+            for size in (1, 3, 2, 4, 1, 4, 3, 2):
+                futures = [server.submit(x) for x in xs[:size]]
+                while not all(f.done() for f in futures):
+                    server.stats()
+                    polls += 1
+                for f in futures:
+                    f.result(timeout=30)
+            stats = server.stats()
+        assert stats.completed == 20
+        assert polls > 0
+        worker_arenas = [names for names in readers.values()
+                         if any(n.startswith("race-worker-") for n in names)]
+        assert worker_arenas, "trim never read a worker arena"
+        for names in worker_arenas:
+            assert all(n.startswith("race-worker-") for n in names), names
 
 
 class TestLoadGenerator:
@@ -567,7 +615,7 @@ class TestCompiledServing:
         import time
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
-            if all(w.warmed for w in server._workers):
+            if all(w.runtime.warmed for w in server._workers):
                 return
             time.sleep(0.005)
         raise AssertionError("workers never warmed")
@@ -595,7 +643,8 @@ class TestCompiledServing:
         config = ServerConfig(workers=2, max_batch_size=4, max_wait_ms=5.0,
                               compiled=True, quantized_bits=16)
         with Server.for_network(net, config) as server:
-            assert server._workers[0].exec.program(1).bits == 16
+            executor = server._workers[0].runtime.executor
+            assert executor.program(1).bits == 16
             results = [f.result(timeout=30)
                        for f in [server.submit(x) for x in xs]]
         for i, result in enumerate(results):
@@ -610,7 +659,8 @@ class TestCompiledServing:
             # The warm-up dummy batch already bound every worker's
             # batch-1 program (programs are shared across clones, so
             # replicas accumulate on the one program object).
-            assert server._workers[0].exec.program(1).bound_replicas >= 2
+            executor = server._workers[0].runtime.executor
+            assert executor.program(1).bound_replicas >= 2
             out = server.infer(images(1)[0], timeout=30)
         np.testing.assert_array_equal(
             out, net.inference_plan().run(images(1)[:1])[0])
@@ -623,7 +673,8 @@ class TestCompiledServing:
             # Warm-up pre-faulted the arena: the first real request
             # recycles the dummy batch's buffers instead of allocating.
             server.infer(images(1)[0], timeout=30)
-            assert sum(w.plan.arena.hits for w in server._workers) > 0
+            assert sum(w.runtime.executor.arena.hits
+                       for w in server._workers) > 0
 
     def test_warmup_disabled_leaves_workers_cold(self):
         import time
@@ -631,7 +682,7 @@ class TestCompiledServing:
         config = ServerConfig(workers=1, compiled=True, warmup=False)
         with Server.for_network(net, config) as server:
             time.sleep(0.05)
-            assert not any(w.warmed for w in server._workers)
+            assert not any(w.runtime.warmed for w in server._workers)
             out = server.infer(images(1)[0], timeout=30)
         np.testing.assert_array_equal(
             out, net.inference_plan().run(images(1)[:1])[0])
@@ -652,9 +703,9 @@ class TestCompiledServing:
             futures = [server.submit(x) for x in xs]
             for f in futures:
                 f.result(timeout=30)
-            worker = server._workers[0]
-            assert worker.exec.fallbacks == 0
-            assert 3 in worker.exec.batch_sizes
+            worker = server._workers[0].runtime
+            assert worker.executor.fallbacks == 0
+            assert 3 in worker.executor.batch_sizes
 
     def test_p99_first_batch_regression(self):
         """Restart the server repeatedly: the first request must not be
