@@ -14,7 +14,8 @@ Two acceptance numbers, written to ``BENCH_obs.json``:
   demands; the enabled-mode overhead is recorded alongside.
 
 ``OBS_SMOKE=1`` shrinks the repetition counts and skips the overhead
-floor (CI noise makes a <3% assertion meaningless on shared runners).
+floor (CI noise makes a <3% assertion meaningless on shared runners);
+it writes ``.bench-smoke/BENCH_obs.json`` instead.
 """
 
 import json
@@ -31,7 +32,11 @@ from repro.experiments import runner
 from repro.models import squeezenext
 
 SMOKE = os.environ.get("OBS_SMOKE") == "1"
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
+_ROOT = Path(__file__).resolve().parent.parent
+#: Full runs refresh the tracked record at the repository root;
+#: smoke runs write into the gitignored ``.bench-smoke/``.
+RESULTS_PATH = ((_ROOT / ".bench-smoke" if SMOKE else _ROOT)
+                / "BENCH_obs.json")
 
 REPEATS = 5 if SMOKE else 40
 OVERHEAD_FLOOR = 0.03  # disabled tracing must cost < 3%
@@ -139,6 +144,7 @@ def test_obs_overhead_and_trace():
         },
         "smoke": SMOKE,
     }
+    RESULTS_PATH.parent.mkdir(exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n",
                             encoding="utf-8")
     print(json.dumps(results, indent=2))

@@ -47,6 +47,7 @@ direct plan execution before any load runs.
 ``SERVE_SMOKE=1`` swaps in a tiny MobileNet, shrinks the request
 counts, and skips the floors — the CI smoke configuration.
 ``FLEET_SMOKE=1`` (or ``SERVE_SMOKE``) shortens the fleet mix run.
+Smoke runs write ``.bench-smoke/BENCH_serve.json`` instead.
 ``SERVE_WORKER_MODE=process`` routes the correctness spot-check
 through the multiprocessing backend (CI runs the smoke both ways).
 """
@@ -66,7 +67,13 @@ from repro.serve import LoadGenerator, Server, ServerConfig, \
 SMOKE = os.environ.get("SERVE_SMOKE") == "1"
 FLEET_SMOKE = os.environ.get("FLEET_SMOKE") == "1" or SMOKE
 WORKER_MODE = os.environ.get("SERVE_WORKER_MODE", "thread")
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
+_ROOT = Path(__file__).resolve().parent.parent
+#: Full runs refresh the tracked record at the repository root;
+#: smoke runs write into the gitignored ``.bench-smoke/``.
+RESULTS_PATH = ((_ROOT / ".bench-smoke" if SMOKE else _ROOT)
+                / "BENCH_serve.json")
+FLEET_RESULTS_PATH = ((_ROOT / ".bench-smoke" if FLEET_SMOKE else _ROOT)
+                      / "BENCH_serve.json")
 
 #: Floor for paced (deterministic service time) serving vs sequential.
 #: Was 3.0 when introduced (3.2x measured); on newer container kernels
@@ -244,6 +251,7 @@ def test_serving_throughput_and_overload():
           f"arena held {overload_stats.arena['held_bytes'] / 2**20:.1f} "
           f"MiB after {overload_stats.arena['trims']} trims")
 
+    RESULTS_PATH.parent.mkdir(exist_ok=True)
     RESULTS_PATH.write_text(json.dumps({
         "benchmark": "serve_runtime",
         "smoke": SMOKE,
@@ -482,7 +490,7 @@ def test_fleet_serving():
 
     # Merge (read-modify-write) so the serving sections survive.
     try:
-        payload = json.loads(RESULTS_PATH.read_text())
+        payload = json.loads(FLEET_RESULTS_PATH.read_text())
     except (OSError, json.JSONDecodeError):
         payload = {"benchmark": "serve_runtime"}
     payload["fleet"] = {
@@ -506,4 +514,5 @@ def test_fleet_serving():
         },
         "workload_export": workload.as_dict(),
     }
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    FLEET_RESULTS_PATH.parent.mkdir(exist_ok=True)
+    FLEET_RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")

@@ -20,7 +20,8 @@ written to ``BENCH_sweep.json`` at the repository root:
   frontier point by point; its result must equal the batch frontier.
 
 ``SWEEP_SMOKE=1`` shrinks the space to 2 models x 2 arrays x 2 RF
-sizes — the CI smoke configuration.  All cache state lives in
+sizes — the CI smoke configuration, written to
+``.bench-smoke/BENCH_sweep.json`` instead.  All cache state lives in
 temporary ``repro_sweep_*`` directories that are removed on exit (CI
 gates on leftovers).
 """
@@ -38,7 +39,11 @@ from repro.core.tuner import design_space_jobs
 from repro.models import build_all
 
 SMOKE = os.environ.get("SWEEP_SMOKE") == "1"
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
+_ROOT = Path(__file__).resolve().parent.parent
+#: Full runs refresh the tracked record at the repository root;
+#: smoke runs write into the gitignored ``.bench-smoke/``.
+RESULTS_PATH = ((_ROOT / ".bench-smoke" if SMOKE else _ROOT)
+                / "BENCH_sweep.json")
 
 #: Warm-over-cold floor: full design space / CI smoke subset.
 FULL_SPEEDUP_FLOOR = 10.0
@@ -116,6 +121,7 @@ def test_design_space_sweep_cache_and_resume():
           f"frontier {len(frontier)} points, store "
           f"{db_bytes / 2**20:.2f} MiB")
 
+    RESULTS_PATH.parent.mkdir(exist_ok=True)
     RESULTS_PATH.write_text(json.dumps({
         "benchmark": "design_space_sweep",
         "smoke": SMOKE,

@@ -915,6 +915,17 @@ def _lower(plan: Union[InferencePlan, QuantizedInferencePlan], batch: int,
                  and is_dynamic(in_value))
         if stage:
             ir.stage_buf = transient(i, in_shape)
+        # The interpreted ops check their input at run time; a program
+        # fixes every shape now, so a mismatch must fail here, with the
+        # same message, not as a reshape error on the first run.
+        if ir.kind == "conv" and in_shape[1] != ir.op.in_channels:
+            raise ValueError(f"expected {ir.op.in_channels} channels, "
+                             f"got {in_shape[1]}")
+        if ir.kind == "dense":
+            features = int(np.prod(in_shape[1:], dtype=np.int64))
+            if features != ir.op.in_features:
+                raise ValueError(f"expected {ir.op.in_features} features, "
+                                 f"got {features}")
         if ir.kind in ("conv", "maxpool"):
             op = ir.op
             kh, kw = op.kernel_size

@@ -361,59 +361,6 @@ class FusedConv2D:
             np.maximum(out, 0.0, out=out)
         return out.reshape(n, self.out_channels, out_h, out_w)
 
-    # -- weight export/attach (shared-memory serving) ----------------------
-
-    def export_arrays(self) -> Dict[str, np.ndarray]:
-        """The op's weight tensors, keyed for :func:`export_plan`."""
-        arrays = {"wmat": self._wmat}
-        if self._wdw is not None:
-            arrays["wdw"] = self._wdw
-        if self._bias is not None:
-            arrays["bias"] = self._bias
-        return arrays
-
-    def spec_dict(self) -> Dict[str, object]:
-        """Picklable scalar attributes (no arrays) to rebuild from."""
-        return {
-            "in_channels": self.in_channels,
-            "out_channels": self.out_channels,
-            "kernel_size": self.kernel_size,
-            "stride": self.stride,
-            "padding": self.padding,
-            "groups": self.groups,
-            "relu": self.relu,
-            "fused": self.fused,
-            "cout_g": self._cout_g,
-            "cin_g": self._cin_g,
-            "depthwise": self.depthwise,
-        }
-
-    @classmethod
-    def from_arrays(cls, spec: Mapping[str, object],
-                    arrays: Mapping[str, np.ndarray]) -> "FusedConv2D":
-        """Rebuild an op around externally owned weight views.
-
-        The arrays are used as-is (typically read-only views into a
-        shared-memory block), so rebuilding in a worker process costs
-        zero weight copies.
-        """
-        op = cls.__new__(cls)
-        op.in_channels = spec["in_channels"]
-        op.out_channels = spec["out_channels"]
-        op.kernel_size = tuple(spec["kernel_size"])
-        op.stride = spec["stride"]
-        op.padding = spec["padding"]
-        op.groups = spec["groups"]
-        op.relu = spec["relu"]
-        op.fused = spec["fused"]
-        op._cout_g = spec["cout_g"]
-        op._cin_g = spec["cin_g"]
-        op.depthwise = spec["depthwise"]
-        op._wmat = arrays["wmat"]
-        op._wdw = arrays.get("wdw")
-        op._bias = arrays.get("bias")
-        return op
-
 
 class FusedDense:
     """Dense + optional ReLU epilogue on a snapshot of the weights."""
@@ -447,34 +394,6 @@ class FusedDense:
         if self.relu:
             np.maximum(out, 0.0, out=out)
         return out
-
-    # -- weight export/attach (shared-memory serving) ----------------------
-
-    def export_arrays(self) -> Dict[str, np.ndarray]:
-        arrays = {"weight": self._weight}
-        if self._bias is not None:
-            arrays["bias"] = self._bias
-        return arrays
-
-    def spec_dict(self) -> Dict[str, object]:
-        return {
-            "in_features": self.in_features,
-            "out_features": self.out_features,
-            "relu": self.relu,
-            "fused": self.fused,
-        }
-
-    @classmethod
-    def from_arrays(cls, spec: Mapping[str, object],
-                    arrays: Mapping[str, np.ndarray]) -> "FusedDense":
-        op = cls.__new__(cls)
-        op.in_features = spec["in_features"]
-        op.out_features = spec["out_features"]
-        op.relu = spec["relu"]
-        op.fused = spec["fused"]
-        op._weight = arrays["weight"]
-        op._bias = arrays.get("bias")
-        return op
 
 
 # -- execution plan ----------------------------------------------------------
@@ -677,86 +596,3 @@ class _ModuleStep:
             for m, mode in zip(modules, previous):
                 m.training = mode
         return out
-
-
-# -- plan export/attach (shared-memory serving) ------------------------------
-
-
-@dataclass(frozen=True)
-class TemplateStep:
-    """Picklable skeleton of one :class:`PlanStep` (no weight arrays)."""
-
-    name: str
-    kind: str
-    inputs: Tuple[str, ...]
-    fused: str
-    op_spec: Optional[Dict[str, object]]
-    module: Optional[_ModuleStep]
-
-
-@dataclass(frozen=True)
-class PlanTemplate:
-    """Everything needed to rebuild a plan *except* the weight arrays.
-
-    The template is small and picklable (module fallback steps — pools,
-    softmax, flatten — travel whole; fused conv/dense steps travel as
-    scalar spec dicts).  Pair it with the array dict from
-    :func:`export_plan` — typically mapped into shared memory by
-    :mod:`repro.serve.shm` — and :func:`plan_from_template` yields a
-    plan whose fused weights alias the provided arrays, copy-free.
-    """
-
-    steps: Tuple[TemplateStep, ...]
-    input_names: Tuple[str, ...]
-
-
-def export_plan(plan: InferencePlan
-                ) -> Tuple[Dict[str, np.ndarray], PlanTemplate]:
-    """Split a plan into (weight arrays, picklable template).
-
-    Fused weights are frozen after :func:`build_inference_plan`, so the
-    returned arrays can be published once (e.g. into a shared-memory
-    block) and mapped read-only by any number of worker processes.
-    """
-    arrays: Dict[str, np.ndarray] = {}
-    steps: List[TemplateStep] = []
-    for i, step in enumerate(plan.steps):
-        if step.kind in ("fused_conv", "fused_dense"):
-            for key, array in step.op.export_arrays().items():
-                arrays[f"step{i}.{key}"] = array
-            steps.append(TemplateStep(step.name, step.kind, step.inputs,
-                                      step.fused, step.op.spec_dict(), None))
-        elif step.kind == "module":
-            steps.append(TemplateStep(step.name, step.kind, step.inputs,
-                                      step.fused, None, step.op.clone()))
-        else:
-            steps.append(TemplateStep(step.name, step.kind, step.inputs,
-                                      step.fused, None, None))
-    return arrays, PlanTemplate(tuple(steps), tuple(plan.input_names))
-
-
-def plan_from_template(template: PlanTemplate,
-                       arrays: Mapping[str, np.ndarray],
-                       arena: Optional[BufferArena] = None) -> InferencePlan:
-    """Rebuild an executable plan around externally owned weight arrays.
-
-    The inverse of :func:`export_plan`.  Fused ops alias the provided
-    arrays (no copies); module steps are cloned so the rebuilt plan owns
-    its ``training`` flags.  The plan gets a fresh private arena unless
-    one is passed.
-    """
-    steps: List[PlanStep] = []
-    for i, t in enumerate(template.steps):
-        if t.kind in ("fused_conv", "fused_dense"):
-            prefix = f"step{i}."
-            local = {key[len(prefix):]: value for key, value in arrays.items()
-                     if key.startswith(prefix)}
-            cls = FusedConv2D if t.kind == "fused_conv" else FusedDense
-            op = cls.from_arrays(t.op_spec, local)
-            steps.append(PlanStep(t.name, t.kind, t.inputs, op, t.fused))
-        elif t.kind == "module":
-            steps.append(PlanStep(t.name, t.kind, t.inputs,
-                                  t.module.clone(), t.fused))
-        else:
-            steps.append(PlanStep(t.name, t.kind, t.inputs, None, t.fused))
-    return InferencePlan(steps, set(template.input_names), arena)

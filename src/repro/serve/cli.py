@@ -18,7 +18,9 @@ default — seeded, bursty, the honest tail-latency experiment; pass
 ``--clients`` synchronous callers runs.  ``--sim`` paces every batch
 to the simulated Squeezelerator's cycle count (see
 :mod:`repro.serve.simtime`).  ``--worker-mode process`` runs the
-GIL-free multiprocessing pool with shared-memory weights.
+GIL-free multiprocessing pool: workers forked from the one built
+model, which they share copy-on-write (needs the ``fork`` start
+method).
 
 Models are addressed by slug (``sqnxt_23_v5``, ``mobilenet``,
 ``squeezenet_v1_0``...) or by their canonical zoo row name.
@@ -199,8 +201,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         default="thread",
                         help="pool backend: thread (default; "
                              "bit-identical, right for --sim pacing) "
-                             "or process (GIL-free host scaling via "
-                             "shared-memory weights)")
+                             "or process (GIL-free host scaling; "
+                             "workers fork the one built model)")
     parser.add_argument("--compiled", action="store_true",
                         help="run workers on the AOT-compiled executor "
                              "(static arena, pre-bound kernels; see "

@@ -2,17 +2,15 @@
 
 The process-mode backend of :class:`repro.serve.Server`.  Topology:
 
-* **Weights** — the parent exports the fused plan once
-  (:func:`repro.nn.infer.export_plan`) and packs the arrays into a
-  single shared-memory segment; each worker maps the block read-only
-  and rebuilds its plan around zero-copy views
-  (:func:`~repro.nn.infer.plan_from_template`) with a private
-  :class:`~repro.nn.infer.BufferArena`.  N workers cost one copy of
-  the model plus N arenas — same bill as thread mode, without the GIL.
 * **The worker job** — :class:`WorkerRuntime`, shared with thread
-  mode: it builds the executor from the rebuilt plan and the server's
-  :class:`~repro.serve.ServerConfig`, warms it up, and runs, paces and
-  tallies each batch.
+  mode.  The server builds one runtime (executor build: ``quantize``,
+  then ``CompiledPlan``, as configured) before any worker exists; the
+  pool forks its workers and each child runs ``runtime.clone(index)``
+  on the runtime it inherited, exactly as a thread worker does.
+  Quantizing and compiling happen once, in the parent, and every
+  worker shares the built weights copy-on-write: N workers cost one
+  copy of the model plus N arenas.  Each child then warms up and runs,
+  paces and tallies its batches.
 * **Requests** — one small :class:`~repro.serve.shm.ShmRing` per worker
   (single producer, single consumer).  The parent's dispatcher stacks
   a batch, writes it into the next worker's ring (header + monotonic
@@ -34,9 +32,9 @@ The process-mode backend of :class:`repro.serve.Server`.  Topology:
 
 Timestamps crossing the boundary are ``time.monotonic()`` — documented
 system-wide on Linux/Windows/macOS (3.10+) — so a deadline stamped in
-the parent expires correctly inside a worker.  The default start method
-prefers ``fork``; under ``spawn`` every config field (notably
-``service_time``) must be picklable.
+the parent expires correctly inside a worker.  Workers are always
+forked: a platform without the ``fork`` start method has no process
+mode (:class:`~repro.serve.ServerConfig` rejects it).
 """
 
 from __future__ import annotations
@@ -54,12 +52,11 @@ import numpy as np
 
 from repro import obs
 from repro.nn.compile import CompiledPlan
-from repro.nn.infer import InferencePlan, PlanTemplate, export_plan, \
-    plan_from_template
+from repro.nn.infer import InferencePlan
 from repro.nn.quant import activation_dtype, quantize_batch
 from repro.obs.hist import LatencyHistogram
-from repro.serve.shm import ArraySpec, RingHandle, ShmRing, SHM_PREFIX, \
-    attach_segment, create_segment, destroy_segment, map_arrays, pack_arrays
+from repro.serve.shm import RingHandle, ShmRing, SHM_PREFIX, \
+    attach_segment, create_segment, destroy_segment
 
 if TYPE_CHECKING:
     from repro.serve.server import ServerConfig
@@ -96,24 +93,13 @@ class Response:
 
 @dataclass(frozen=True)
 class _WorkerSetup:
-    """Picklable per-worker bootstrap payload (Process args)."""
+    """Per-worker bootstrap payload (Process args, inherited by fork)."""
 
     index: int
-    weights_name: str
-    manifest: Tuple[ArraySpec, ...]
-    template: PlanTemplate
-    input_shape: Tuple[int, ...]
-    config: "ServerConfig"
+    runtime: "WorkerRuntime"        # the server's built runtime
     stats_name: str
     stats_offset: int               # in float64 elements
     stats_len: int
-
-
-def _choose_context(start_method: Optional[str]):
-    if start_method is None:
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else methods[0]
-    return multiprocessing.get_context(start_method)
 
 
 def _stats_slice_len(max_batch: int) -> int:
@@ -139,8 +125,11 @@ class WorkerRuntime:
     * :meth:`snapshot`, the tallies in the form
       :meth:`ProcessWorkerPool.worker_snapshots` returns.
 
-    A runtime is single-threaded, like the arena it drives: its worker
-    publishes snapshots, and readers merge those, never the runtime.
+    The server builds one runtime and every worker runs a
+    :meth:`clone` of it — a thread worker in the server's process, a
+    process worker in its forked child.  A runtime is single-threaded,
+    like the arena it drives: its worker publishes snapshots, and
+    readers merge those, never the runtime.
     """
 
     def __init__(self, plan: InferencePlan, config: "ServerConfig",
@@ -171,7 +160,7 @@ class WorkerRuntime:
         self.latency = LatencyHistogram()
 
     def clone(self, index: int) -> "WorkerRuntime":
-        """A replica for another thread with fresh tallies.
+        """A replica for another worker with fresh tallies.
 
         The executor clone shares the weights (and compiled programs)
         and brings its own arena.
@@ -278,17 +267,14 @@ def _read_snapshot(row: np.ndarray, max_batch: int) -> dict:
 
 def _worker_main(setup: _WorkerSetup, req_handle: RingHandle,
                  resp_handle: RingHandle, stats_lock, stop_event) -> None:
-    weights = attach_segment(setup.weights_name)
-    arrays = map_arrays(weights, setup.manifest)
-    # The runtime quantizes and compiles over the zero-copy shm weight
-    # views.  Quantization is deterministic, so every worker (and the
-    # dispatching parent) derives the same integer levels with no
-    # second weight segment: each worker only adds its arena.
-    runtime = WorkerRuntime(plan_from_template(setup.template, arrays),
-                            setup.config, setup.input_shape, setup.index)
+    # The forked child inherited the parent's built executor; its clone
+    # shares those weights and compiled programs copy-on-write and adds
+    # only a private arena.
+    runtime = setup.runtime.clone(setup.index)
+    input_shape = runtime.input_shape
     qdtype = None
-    if setup.config.quantized_bits is not None:
-        qdtype = activation_dtype(setup.config.quantized_bits)
+    if runtime.config.quantized_bits is not None:
+        qdtype = activation_dtype(runtime.config.quantized_bits)
     requests = ShmRing.attach(req_handle)
     responses = ShmRing.attach(resp_handle)
     stats_seg = attach_segment(setup.stats_name)
@@ -301,7 +287,7 @@ def _worker_main(setup: _WorkerSetup, req_handle: RingHandle,
         with stats_lock:
             _write_snapshot(stats_view, snapshot)
 
-    in_elems = int(np.prod(setup.input_shape))
+    in_elems = int(np.prod(input_shape))
     abort = stop_event.is_set
     try:
         runtime.warm_up()
@@ -332,11 +318,11 @@ def _worker_main(setup: _WorkerSetup, req_handle: RingHandle,
                 xs = np.frombuffer(message, qdtype.str,
                                    count=size * in_elems,
                                    offset=offset).reshape(
-                                       (size,) + tuple(setup.input_shape))
+                                       (size,) + input_shape)
             else:
                 xs = np.frombuffer(message, "<f8", count=size * in_elems,
                                    offset=offset).reshape(
-                                       (size,) + tuple(setup.input_shape))
+                                       (size,) + input_shape)
             # The parent stamped these deadlines; monotonic() is the
             # same system-wide clock here, so late ring pickup expires.
             statuses = np.zeros(size, dtype=np.int64)
@@ -371,12 +357,10 @@ def _worker_main(setup: _WorkerSetup, req_handle: RingHandle,
     finally:
         publish()
         # Drop every view into the mappings before unmapping them.
-        del runtime, arrays
         stats_view = None
         requests.close()
         responses.close()
         destroy_segment(stats_seg, unlink=False)
-        destroy_segment(weights, unlink=False)
 
 
 # -- parent-side pool --------------------------------------------------------
@@ -385,31 +369,33 @@ def _worker_main(setup: _WorkerSetup, req_handle: RingHandle,
 class ProcessWorkerPool:
     """Parent handle on the worker processes and their shared memory.
 
-    Owns every segment (weights, rings, stats) — :meth:`cleanup`
-    unlinks them all, so ``/dev/shm`` is clean after shutdown even if
-    workers were killed mid-batch.  Lifecycle: ``start`` → any number
-    of ``dispatch``/``recv`` → ``send_stop`` per worker →
-    ``join`` → ``cleanup``.
+    Forks one worker per ``runtime.config.workers`` from the server's
+    built :class:`WorkerRuntime`, which must not have run yet (its
+    arena and compiled bindings would be copied into every child).
+    Owns every segment (rings, stats) — :meth:`cleanup` unlinks them
+    all, so ``/dev/shm`` is clean after shutdown even if workers were
+    killed mid-batch.  Lifecycle: ``start`` → any number of
+    ``dispatch``/``recv`` → ``send_stop`` per worker → ``join`` →
+    ``cleanup``.
     """
 
-    def __init__(self, plan: InferencePlan, config: "ServerConfig",
-                 input_shape: Tuple[int, ...],
+    def __init__(self, runtime: WorkerRuntime,
                  output_shape: Tuple[int, ...]) -> None:
+        config = runtime.config
         self.config = config
         self.workers = config.workers
-        self.input_shape = tuple(input_shape)
+        self.input_shape = runtime.input_shape
         self.output_shape = tuple(output_shape)
         self.max_batch = config.max_batch_size
-        self._ctx = _choose_context(config.start_method)
+        self._ctx = multiprocessing.get_context("fork")
         self._base = f"{SHM_PREFIX}{os.getpid()}_{secrets.token_hex(4)}"
-        self._plan = plan
+        self._runtime = runtime
         self._payload_dtype = np.dtype(
             np.float64 if config.quantized_bits is None
             else activation_dtype(config.quantized_bits))
         self.processes: List[object] = []
         self._req_rings: List[ShmRing] = []
         self._resp_ring: Optional[ShmRing] = None
-        self._weights_seg = None
         self._stats_seg = None
         self._stats_view: Optional[np.ndarray] = None
         self._stats_locks: List[object] = []
@@ -421,8 +407,6 @@ class ProcessWorkerPool:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "ProcessWorkerPool":
-        arrays, template = export_plan(self._plan)
-        self._weights_seg, manifest = pack_arrays(f"{self._base}_w", arrays)
         # Request layout: header | deadlines f8 | submits f8
         # [| per-sample scales f8, quantized mode] | activation payload
         # in the ring's payload dtype.  At int16 the payload — by far
@@ -460,11 +444,7 @@ class ProcessWorkerPool:
             self._stats_locks.append(self._ctx.Lock())
             setup = _WorkerSetup(
                 index=i,
-                weights_name=f"{self._base}_w",
-                manifest=tuple(manifest),
-                template=template,
-                input_shape=self.input_shape,
-                config=self.config,
+                runtime=self._runtime,
                 stats_name=f"{self._base}_s",
                 stats_offset=i * slice_len,
                 stats_len=slice_len,
@@ -574,5 +554,3 @@ class ProcessWorkerPool:
         self._stats_view = None
         destroy_segment(self._stats_seg, unlink=True)
         self._stats_seg = None
-        destroy_segment(self._weights_seg, unlink=True)
-        self._weights_seg = None

@@ -18,21 +18,22 @@
 * **Worker pool** — two backends behind one knob
   (``ServerConfig.worker_mode``):
 
-  - ``"thread"`` (default): each worker thread owns a private
-    :class:`~repro.serve.procpool.WorkerRuntime` over a
-    :meth:`~repro.nn.infer.InferencePlan.clone` and publishes its
-    tallies as a snapshot after each batch.  Right choice for
-    simulator-paced runs (workers mostly sleep) and bit-for-bit
-    reproducible CI.
+  Either way the server builds one
+  :class:`~repro.serve.procpool.WorkerRuntime` (quantized and
+  compiled as configured) and every worker runs a clone of it, sharing
+  its weights and adding a private arena.
+
+  - ``"thread"`` (default): each worker thread owns a clone and
+    publishes its tallies as a snapshot after each batch.  Right
+    choice for simulator-paced runs (workers mostly sleep) and
+    bit-for-bit reproducible CI.
   - ``"process"``: numpy inference holds the GIL, so thread workers
     *contend* instead of scaling on real host compute.  Process mode
-    publishes the fused weights once via
-    :mod:`multiprocessing.shared_memory`, forks worker processes that
-    map them zero-copy and run the same worker runtime
-    (:mod:`repro.serve.procpool`), and moves batches over pickle-free
-    shared-memory rings.  Admission control and the dynamic batcher
-    stay in the parent; responses remain bit-identical to direct plan
-    execution.
+    forks worker processes that clone the inherited runtime (its
+    weights stay shared copy-on-write; :mod:`repro.serve.procpool`)
+    and moves batches over pickle-free shared-memory rings.
+    Admission control and the dynamic batcher stay in the parent;
+    responses remain bit-identical to direct plan execution.
 
 * **Graceful shutdown** — ``shutdown()`` stops admissions, then (by
   default) drains: queued requests are still executed, workers finish
@@ -56,6 +57,7 @@ server into a what-would-the-accelerator-sustain testbench.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import queue
 import threading
 import time
@@ -102,10 +104,8 @@ class ServerConfig:
     peak-shape scratch.  With ``compiled`` that arena is the
     interpreted fallback plan's, and ``stats().arena`` reports only
     it: the static block a worker binds per compiled batch size is
-    neither trimmed nor counted.  ``start_method`` overrides the
-    multiprocessing start method in process mode (default: ``fork``
-    where available; under ``spawn``, ``service_time`` must be
-    picklable).
+    neither trimmed nor counted.  Process workers are forked, so
+    ``"process"`` needs a platform with the ``fork`` start method.
 
     ``compiled`` runs each worker's plan through
     :func:`repro.nn.compile.compile_plan` — batch sizes 1 and
@@ -117,13 +117,12 @@ class ServerConfig:
     first real request pays no arena/bind cold-start.
 
     ``quantized_bits`` (e.g. ``16``) serves through a
-    :class:`~repro.nn.quant.QuantizedInferencePlan`: thread workers
-    clone one shared quantized lowering of the plan; process workers
-    re-derive it from the shared float weights (quantization is
-    deterministic, so every worker runs the identical integer plan)
-    and the request rings carry int16/int8 payloads plus per-sample
-    scales instead of float64.  With ``compiled`` as well, workers run
-    the AOT-compiled integer program over that quantized plan.
+    :class:`~repro.nn.quant.QuantizedInferencePlan`: every worker
+    clones the server's one quantized lowering of the plan, and in
+    process mode the request rings carry int16/int8 payloads plus
+    per-sample scales instead of float64.  With ``compiled`` as well,
+    workers run the AOT-compiled integer program over that quantized
+    plan.
     """
 
     workers: int = 2
@@ -134,7 +133,6 @@ class ServerConfig:
     service_time: Optional[Callable[[int], float]] = None
     worker_mode: str = "thread"
     arena_trim_bytes: Optional[int] = None
-    start_method: Optional[str] = None
     compiled: bool = False
     warmup: bool = True
     quantized_bits: Optional[int] = None
@@ -155,6 +153,12 @@ class ServerConfig:
             raise ValueError(
                 f"worker_mode must be 'thread' or 'process', "
                 f"got {self.worker_mode!r}")
+        if (self.worker_mode == "process"
+                and "fork" not in multiprocessing.get_all_start_methods()):
+            raise ValueError(
+                "process workers are forked from the server, and this "
+                "platform has no 'fork' start method; use "
+                "worker_mode='thread'")
         if self.arena_trim_bytes is not None and self.arena_trim_bytes < 0:
             raise ValueError("arena_trim_bytes must be >= 0")
         if self.quantized_bits is not None:
@@ -284,13 +288,15 @@ class Server:
                     "process mode sizes its shared-memory rings from the "
                     "input shape; pass input_shape= (Server.for_network "
                     "does) when worker_mode='process'")
-            self._workers: List[_Worker] = []
-        else:
-            # One shared (quantized, compiled) lowering of the plan;
-            # worker clones share its weights and immutable programs
-            # and add only a private arena each.
-            base = WorkerRuntime(plan, self.config, self.input_shape)
-            self._workers = [_Worker(base.clone(i))
+        # One shared (quantized, compiled) lowering of the plan; worker
+        # clones — threads here, forked processes at start() — share its
+        # weights and immutable programs and add only a private arena
+        # each.  It serves no batch itself, so forking copies no
+        # arena or compiled binding.
+        self._runtime = WorkerRuntime(plan, self.config, self.input_shape)
+        self._workers: List[_Worker] = []
+        if self.config.worker_mode == "thread":
+            self._workers = [_Worker(self._runtime.clone(i))
                              for i in range(self.config.workers)]
         # Guards the lifecycle flags and the submit-side counters; also
         # serializes submits against shutdown so no request can slip
@@ -357,15 +363,15 @@ class Server:
 
     def _start_process_pool(self) -> None:
         # One probe run pins the output shape the response ring must
-        # hold; the parent plan is idle afterwards, so release its
-        # scratch instead of pinning a full activation set.
-        probe = self._plan.run(
+        # hold.  It runs on a throwaway clone of the plan, so the
+        # runtime the workers fork (which may be the plan itself) has
+        # no scratch to copy.
+        probe = self._plan.clone().run(
             np.zeros((1,) + self.input_shape, dtype=np.float64))
         output_shape = tuple(probe.shape[1:])
         del probe
-        self._plan.arena.clear()
-        self._procpool = ProcessWorkerPool(
-            self._plan, self.config, self.input_shape, output_shape).start()
+        self._procpool = ProcessWorkerPool(self._runtime,
+                                           output_shape).start()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name=f"{self.name}-dispatch",
             daemon=True)

@@ -1,6 +1,6 @@
 """Shared-memory primitives for the multi-process serving runtime.
 
-Three pieces, all stdlib + numpy:
+Two pieces, all stdlib + numpy:
 
 * **Segment helpers** — :func:`create_segment` / :func:`attach_segment`
   wrap :class:`multiprocessing.shared_memory.SharedMemory` with the
@@ -10,11 +10,6 @@ Three pieces, all stdlib + numpy:
   never tears a segment out from under its siblings.  The ``rsrv_``
   prefix is load-bearing: the leak tests and the CI post-step scan
   ``/dev/shm`` for it.
-* **Array packing** — :func:`pack_arrays` lays a dict of numpy arrays
-  into one segment (64-byte aligned) and returns a picklable manifest;
-  :func:`map_arrays` rebuilds them as zero-copy views on the other
-  side, read-only by default.  This is how a plan's fused weights are
-  published once and mapped by every worker.
 * **Ring buffers** — :class:`ShmRing`, a fixed-slot bounded ring over a
   segment: each slot is ``[length header | payload bytes]``, flow
   control is a classic items/spaces semaphore pair, and per-slot ready
@@ -29,26 +24,21 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "ArraySpec",
     "RingHandle",
     "ShmRing",
     "attach_segment",
     "create_segment",
-    "map_arrays",
-    "pack_arrays",
     "shm_prefix",
 ]
 
 #: Every segment the serving runtime creates starts with this; leak
 #: checks (tests and CI) scan /dev/shm for it.
 SHM_PREFIX = "rsrv_"
-
-_ALIGN = 64
 
 
 def shm_prefix() -> str:
@@ -103,61 +93,6 @@ def destroy_segment(segment: Optional[shared_memory.SharedMemory],
             segment.unlink()
         except Exception:
             pass
-
-
-# -- array packing -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ArraySpec:
-    """Where one array lives inside a packed segment (picklable)."""
-
-    key: str
-    offset: int
-    shape: Tuple[int, ...]
-    dtype: str
-
-
-def _aligned(offset: int) -> int:
-    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-def pack_arrays(name: str, arrays: Mapping[str, np.ndarray]
-                ) -> Tuple[shared_memory.SharedMemory, List[ArraySpec]]:
-    """Copy arrays into one new segment; returns (segment, manifest).
-
-    Each array is copied exactly once — the publication copy.  Workers
-    then :func:`map_arrays` the manifest for zero-copy views.
-    """
-    manifest: List[ArraySpec] = []
-    offset = 0
-    items = list(arrays.items())
-    for key, array in items:
-        offset = _aligned(offset)
-        manifest.append(ArraySpec(key, offset, tuple(array.shape),
-                                  array.dtype.str))
-        offset += array.nbytes
-    segment = create_segment(name, offset)
-    for spec, (_, array) in zip(manifest, items):
-        view = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype),
-                          buffer=segment.buf, offset=spec.offset)
-        view[...] = array
-        del view
-    return segment, manifest
-
-
-def map_arrays(segment: shared_memory.SharedMemory,
-               manifest: Sequence[ArraySpec],
-               writeable: bool = False) -> Dict[str, np.ndarray]:
-    """Zero-copy views of a packed segment, read-only unless asked."""
-    out: Dict[str, np.ndarray] = {}
-    for spec in manifest:
-        view = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype),
-                          buffer=segment.buf, offset=spec.offset)
-        if not writeable:
-            view.flags.writeable = False
-        out[spec.key] = view
-    return out
 
 
 # -- ring buffer -------------------------------------------------------------

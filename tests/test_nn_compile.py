@@ -115,6 +115,38 @@ class TestZooCompiledEquivalence:
         assert compiled.fallbacks == 0
 
 
+class TestCompileTimeShapeChecks:
+    """A program fixes every shape at compile time, so an input the plan
+    cannot take must be rejected by ``compile_plan`` with the plan's own
+    message, not fail later inside a kernel."""
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_wrong_channel_count_rejected_at_compile(self, zoo_network,
+                                                     quantized):
+        channels, height, width = _input_shape(zoo_network)
+        plan = zoo_network.inference_plan()
+        if quantized:
+            plan = plan.quantize(16)
+        with pytest.raises(ValueError, match=(
+                f"expected {channels} channels, got {channels + 2}")):
+            compile_plan(plan, (channels + 2, height, width))
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_wrong_dense_width_rejected_at_compile(self, quantized):
+        builder = NetworkBuilder("flat_dense", TensorShape(2, 4, 4))
+        builder.conv("conv", 3, kernel_size=3, padding=1)
+        builder.flatten("flat")
+        builder.dense("fc", 5)
+        net = GraphNetwork(builder.build(), rng=np.random.default_rng(3),
+                           batch_norm=True).eval()
+        plan = net.inference_plan()
+        if quantized:
+            plan = plan.quantize(16)
+        with pytest.raises(ValueError,
+                           match="expected 48 features, got 75"):
+            compile_plan(plan, (2, 5, 5))
+
+
 class TestKernelStrategies:
     def test_pointwise_dwgemm_and_join_write_through(self):
         b = NetworkBuilder("strat", TensorShape(4, 12, 12))

@@ -1,7 +1,8 @@
 """Tests for the multiprocessing serving backend (``worker_mode="process"``).
 
-Covers the shared-memory primitives (packed weight segments, bounded
-rings), cross-process response bit-identity against direct plan
+Covers the shared-memory rings, forked workers reusing the server's
+one built runtime (no worker quantizes or compiles again; no fork, no
+process mode), cross-process response bit-identity against direct plan
 execution, parent-stamped deadlines expiring inside worker processes
 (the monotonic-clock contract), drain-then-shutdown, worker-crash
 containment (:class:`~repro.serve.WorkerCrashed`), cross-process stats
@@ -17,19 +18,16 @@ import time
 import numpy as np
 import pytest
 
+import repro.nn.compile
+import repro.nn.quant
 from repro.serve import (
     DeadlineExceeded,
     Server,
     ServerConfig,
     WorkerCrashed,
 )
-from repro.serve.shm import (
-    SHM_PREFIX,
-    ShmRing,
-    destroy_segment,
-    map_arrays,
-    pack_arrays,
-)
+from repro.serve.procpool import WorkerRuntime
+from repro.serve.shm import SHM_PREFIX, ShmRing
 from tests.test_serve import images, make_net
 
 
@@ -58,35 +56,6 @@ def proc_config(**overrides):
 
 
 class TestShmPrimitives:
-    def test_pack_map_round_trip_preserves_values_and_dtypes(self):
-        arrays = {
-            "w": np.arange(12, dtype=np.float64).reshape(3, 4),
-            "b": np.arange(5, dtype=np.float32),
-            "i": np.arange(7, dtype=np.int64),
-        }
-        segment, manifest = pack_arrays(f"{SHM_PREFIX}test_pack", arrays)
-        views = {}
-        try:
-            views = map_arrays(segment, manifest)
-            assert set(views) == set(arrays)
-            for key, array in arrays.items():
-                assert views[key].dtype == array.dtype
-                np.testing.assert_array_equal(views[key], array)
-        finally:
-            views.clear()
-            destroy_segment(segment, unlink=True)
-
-    def test_mapped_views_are_read_only(self):
-        segment, manifest = pack_arrays(
-            f"{SHM_PREFIX}test_ro", {"w": np.ones(4)})
-        try:
-            view = map_arrays(segment, manifest)["w"]
-            with pytest.raises(ValueError):
-                view[0] = 2.0
-        finally:
-            del view
-            destroy_segment(segment, unlink=True)
-
     def test_ring_is_fifo_and_reuses_slots(self):
         ctx = multiprocessing.get_context()
         ring = ShmRing.create(ctx, slots=2, slot_bytes=64,
@@ -280,10 +249,67 @@ class TestProcessServer:
             assert shm_segments() == [], f"leak after cycle {cycle}"
 
 
+class TestForkedRuntime:
+    """Process workers fork the server's one built runtime: the parent
+    quantizes and compiles once, and each child clones what it
+    inherited."""
+
+    def test_workers_reuse_the_parents_lowering(self, monkeypatch):
+        net = make_net()
+        # A long batching window makes the batch sizes deterministic:
+        # a lone request rides alone, a burst fills max_batch_size.
+        config = proc_config(workers=2, max_batch_size=4, max_wait_ms=400.0,
+                             compiled=True, quantized_bits=16)
+        server = Server.for_network(net, config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker lowered the plan again")
+
+        # Forked children inherit the patch: a worker that quantized or
+        # compiled again would fail its warm-up and every batch.
+        monkeypatch.setattr(repro.nn.quant, "quantize_plan", refuse)
+        monkeypatch.setattr(repro.nn.compile, "_lower", refuse)
+        xs = images(config.max_batch_size)
+        with server:
+            single = server.infer(xs[0], timeout=60)
+            futures = [server.submit(x) for x in xs]
+            batched = [future.result(timeout=60) for future in futures]
+            stats = server.stats()
+        assert stats.batch_size_hist == {1: 1, config.max_batch_size: 1}
+        parent = server._runtime.executor
+        np.testing.assert_array_equal(single, parent.run(xs[:1])[0])
+        expected = parent.run(xs)
+        for i, result in enumerate(batched):
+            np.testing.assert_array_equal(result, expected[i])
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_server_builds_exactly_one_runtime(self, monkeypatch, mode):
+        built = []
+        original = WorkerRuntime.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerRuntime, "__init__", counting)
+        config = proc_config(worker_mode=mode, compiled=True)
+        with Server.for_network(make_net(), config) as server:
+            server.infer(images(1)[0], timeout=60)
+        assert len(built) == 1
+
+    def test_process_mode_without_fork_fails_clearly(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        with pytest.raises(ValueError, match="worker_mode='thread'"):
+            ServerConfig(worker_mode="process")
+        assert ServerConfig(worker_mode="thread").worker_mode == "thread"
+
+
 class TestCompiledProcessMode:
-    """compiled=True with process workers: each worker compiles over
-    its zero-copy shm weight views; responses stay bit-identical and
-    shutdown leaks nothing (the autouse fixture checks /dev/shm)."""
+    """compiled=True with process workers: each forked worker runs a
+    clone of the parent's compiled runtime; responses stay
+    bit-identical and shutdown leaks nothing (the autouse fixture
+    checks /dev/shm)."""
 
     def test_compiled_responses_bit_identical_to_direct_plan(self):
         net = make_net()
