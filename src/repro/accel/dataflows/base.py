@@ -79,25 +79,35 @@ def os_blocks(workload: ConvWorkload,
               config: AcceleratorConfig) -> List[OsBlock]:
     """The OS dataflow's output-plane tiling for one group.
 
-    The output plane tiles into at most four distinct block shapes
-    (full / right edge / bottom edge / corner).
+    The output plane tiles into at most four distinct block shapes, in
+    this order: full, right edge, bottom edge, corner.  Their counts
+    follow from ``divmod`` of each extent by its tile — the same shapes,
+    counts and order as walking the :func:`block_sizes` heights x widths
+    grid row by row.
     """
     rows, cols = config.array_rows, config.array_cols
-    heights = block_sizes(workload.out_h, min(rows, workload.out_h))
-    widths = block_sizes(workload.out_w, min(cols, workload.out_w))
-    shapes = {}
-    for bh in heights:
-        for bw in widths:
-            shapes[(bh, bw)] = shapes.get((bh, bw), 0) + 1
+    out_h, out_w = workload.out_h, workload.out_w
+    tile_h, tile_w = min(rows, out_h), min(cols, out_w)
+    full_h, edge_h = divmod(out_h, tile_h)
+    full_w, edge_w = divmod(out_w, tile_w)
+    shapes = [(tile_h, tile_w, full_h * full_w)]
+    if edge_w:
+        shapes.append((tile_h, edge_w, full_h))
+    if edge_h:
+        shapes.append((edge_h, tile_w, full_w))
+        if edge_w:
+            shapes.append((edge_h, edge_w, 1))
+    k = workload.group_out_channels
+    group = config.os_group_size
+    stride_h, stride_w = workload.stride_h, workload.stride_w
+    kernel_h, kernel_w = workload.kernel_h, workload.kernel_w
     blocks = []
-    for (bh, bw), count in shapes.items():
+    for bh, bw, count in shapes:
         pack = max(1, rows // bh) * max(1, cols // bw)
-        channels_per_pass = config.os_group_size * pack
-        passes = _ceil_div(workload.group_out_channels, channels_per_pass)
-        in_h = (bh - 1) * workload.stride_h + workload.kernel_h
-        in_w = (bw - 1) * workload.stride_w + workload.kernel_w
         blocks.append(OsBlock(
-            bh=bh, bw=bw, count=count, pack=pack, passes=passes,
-            in_block_elems=in_h * in_w,
+            bh=bh, bw=bw, count=count, pack=pack,
+            passes=_ceil_div(k, group * pack),
+            in_block_elems=(((bh - 1) * stride_h + kernel_h)
+                            * ((bw - 1) * stride_w + kernel_w)),
         ))
     return blocks

@@ -99,24 +99,34 @@ class OutputStationaryModel(DataflowModel):
                         // config.bytes_per_element)
         depth = max(2, buffer_elems // max(1, block.in_block_elems))
 
-        compute_side = 0.0
-        preload_side = 0.0
-        drain = 0.0
-        remaining = k
-        for _ in range(block.passes):
-            kp = min(channels_per_pass, remaining)
-            remaining -= kp
-            # The stream buffer broadcasts `broadcast_lanes` distinct
-            # weights per cycle, one per packed sub-tile; beyond that,
-            # packed output channels advance sequentially and packing
-            # only amortizes input preloads and drains.
-            lanes = min(block.pack, config.broadcast_lanes)
+        # The stream buffer broadcasts `broadcast_lanes` distinct
+        # weights per cycle, one per packed sub-tile; beyond that,
+        # packed output channels advance sequentially and packing only
+        # amortizes input preloads and drains.
+        lanes = min(block.pack, config.broadcast_lanes)
+
+        def pass_cost(kp: int) -> Tuple[float, float, float]:
             broadcast = self._ceil_div(kp, lanes) * taps * density
             drain = self._ceil_div(kp * block.bh * block.bw,
                                    config.drain_elems_per_cycle)
-            compute_side += c * broadcast + drain
             stalled_drain = max(0.0, drain - (depth - 1) * preload)
-            preload_side += c * preload + stalled_drain
+            return c * broadcast + drain, c * preload + stalled_drain, drain
+
+        # Every pass but the last maps a full `channels_per_pass` filter
+        # group; the last maps the remainder.  The sides still accumulate
+        # pass by pass: n * x is not bit-identical to adding x n times.
+        # (``k`` is positive, so there is always at least one pass.)
+        compute_side = 0.0
+        preload_side = 0.0
+        if block.passes > 1:
+            full_compute, full_preload, _ = pass_cost(channels_per_pass)
+            for _ in range(block.passes - 1):
+                compute_side += full_compute
+                preload_side += full_preload
+        last_compute, last_preload, drain = pass_cost(
+            k - (block.passes - 1) * channels_per_pass)
+        compute_side += last_compute
+        preload_side += last_preload
 
         macs = c * k * taps * block.bh * block.bw * density
         accesses = AccessCounts(

@@ -16,7 +16,10 @@ Design points
   bools, strings) plus the frozen :class:`~repro.accel.energy.EnergyModel`
   dataclass.  ``repr`` of such a tuple is deterministic across processes
   and Python versions (float ``repr`` is shortest-round-trip since 3.1),
-  so the textual key is stable wherever the sweep runs.
+  so the textual key is stable wherever the sweep runs.  Each
+  :class:`DiskCache` encodes a distinct key once and remembers the text:
+  a cold miss is looked up, put and indexed by a network entry, and
+  ``repr`` of the energy-model dataclass is not cheap.
 * **Value encoding** — reports go through
   :func:`repro.accel.serialize.layer_report_to_dict` /
   :func:`~repro.accel.serialize.layer_report_from_dict`, whose JSON
@@ -27,6 +30,17 @@ Design points
   and at the end of each sweep chunk).  The simulation hot path never
   blocks on fsync.  :meth:`get` consults the pending dict first, so
   write-behind is invisible to readers in this process.
+* **Per-miss lookups** — a layer key that misses the pending dict and
+  the preloaded snapshot costs one ``SELECT``.  It stays: process-mode
+  sweep workers share one file, and this probe is how a worker sees
+  rows another worker flushed after its snapshot was taken.
+* **Entry counts on demand** — :meth:`stats` (and ``len``) counts the
+  rows exactly: one ``COUNT(*)`` plus one probe per pending
+  write-behind key.  That is why the simulator no longer asks for it
+  per network: a report's ``cache_stats`` carries ``disk=None``, and
+  the cache-wide disk state is read from
+  :meth:`~repro.accel.simcache.SimulationCache.stats` (the sweep
+  engine's ``cache_stats``) when wanted.
 * **Concurrent writers** — sqlite serializes writers internally; we open
   with a generous ``busy_timeout`` and each flush is a single small
   transaction, so many sweep workers can share one database file.
@@ -82,6 +96,10 @@ SCHEMA_VERSION = 1
 
 #: Database file name inside a cache directory.
 DB_FILENAME = "simcache.sqlite"
+
+#: Encoded keys a :class:`DiskCache` remembers before starting afresh;
+#: bounds the memo on very long sweeps.
+_KEY_TEXT_LIMIT = 1 << 16
 
 
 def encode_key(key: Hashable) -> str:
@@ -142,6 +160,8 @@ class DiskCache:
         self._pid: Optional[int] = None
         self._pending: Dict[str, LayerReport] = {}
         self._pending_networks: Dict[str, str] = {}
+        #: encode_key text per distinct key (see "Key encoding" above).
+        self._key_texts: Dict[Hashable, str] = {}
         #: Whole-table snapshot of layer payloads (text, decoded to
         #: LayerReport lazily in place); None until preload().
         self._loaded: Optional[Dict[str, object]] = None
@@ -220,6 +240,15 @@ class DiskCache:
                 "SELECT key, payload FROM reports").fetchall())
             return len(self._loaded)
 
+    def _encode(self, key: Hashable) -> str:
+        """:func:`encode_key`, computed once per distinct key (lock held)."""
+        text = self._key_texts.get(key)
+        if text is None:
+            if len(self._key_texts) >= _KEY_TEXT_LIMIT:
+                self._key_texts.clear()
+            text = self._key_texts[key] = encode_key(key)
+        return text
+
     def _get_text(self, text: str) -> Optional[LayerReport]:
         """Resolve an encoded layer key; no hit/miss accounting."""
         report = self._pending.get(text)
@@ -246,7 +275,7 @@ class DiskCache:
     def get(self, key: Hashable) -> Optional[LayerReport]:
         """Look up a report; counts a disk hit or miss."""
         with self._lock:
-            report = self._get_text(encode_key(key))
+            report = self._get_text(self._encode(key))
             if report is None:
                 self._misses += 1
                 obs.count("simcache.disk.misses")
@@ -258,7 +287,7 @@ class DiskCache:
     def put(self, key: Hashable, report: LayerReport) -> None:
         """Queue a report for the next write-behind flush."""
         with self._lock:
-            self._pending[encode_key(key)] = report
+            self._pending[self._encode(key)] = report
             if len(self._pending) >= self.flush_every:
                 self.flush()
 
@@ -331,16 +360,16 @@ class DiskCache:
         """
         if len(layer_keys) != len(report.layers):
             raise ValueError("one layer key per report layer required")
-        payload = json.dumps({
-            "network": report.network,
-            "machine": report.machine,
-            "policy": report.policy,
-            "frequency_hz": report.frequency_hz,
-            "num_pes": report.num_pes,
-            "layers": [[encode_key(k), layer.name, str(layer.category)]
-                       for k, layer in zip(layer_keys, report.layers)],
-        })
         with self._lock:
+            payload = json.dumps({
+                "network": report.network,
+                "machine": report.machine,
+                "policy": report.policy,
+                "frequency_hz": report.frequency_hz,
+                "num_pes": report.num_pes,
+                "layers": [[self._encode(k), layer.name, str(layer.category)]
+                           for k, layer in zip(layer_keys, report.layers)],
+            })
             self._pending_networks[key] = payload
             if (len(self._pending) + len(self._pending_networks)
                     >= self.flush_every):

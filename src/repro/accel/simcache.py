@@ -199,9 +199,12 @@ def network_cache_key(network_name: str,
 class CacheStats:
     """Observable cache behaviour, surfaced on :class:`NetworkReport`.
 
-    ``hits``/``misses`` count the lookups made while simulating *that*
-    network; ``evictions`` and ``entries`` are the cache-wide totals at
-    the time the report was built.
+    From :meth:`SimulationCache.stats`, every field is cache-wide.  On a
+    :class:`NetworkReport`, ``hits``/``misses`` count the lookups made
+    while simulating *that* network, ``evictions`` and ``entries`` are
+    the memory tier's totals at the time the report was built, and
+    ``disk`` is None (see
+    :meth:`~repro.accel.simulator.AcceleratorSimulator.simulate_keyed`).
     """
 
     hits: int = 0
@@ -290,9 +293,15 @@ class SimulationCache:
             obs.count("simcache.evictions")
 
     def put(self, key: Hashable, report: LayerReport) -> None:
-        """Insert (or refresh) a report, evicting LRU entries if full."""
+        """Insert (or refresh) a report, evicting LRU entries if full.
+
+        Only a key new to the memory tier is queued for the disk tier:
+        when two threads simulate one key at once, the second put must
+        not write the row again.
+        """
         with self._lock:
-            if key in self._entries:
+            new = key not in self._entries
+            if not new:
                 self._entries.move_to_end(key)
             self._entries[key] = report
             if (self.max_entries is not None
@@ -300,7 +309,7 @@ class SimulationCache:
                 self._entries.popitem(last=False)
                 self._evictions += 1
                 obs.count("simcache.evictions")
-        if self.disk is not None:
+        if new and self.disk is not None:
             self.disk.put(key, report)
 
     def get_network(self, key: str) -> Optional[NetworkReport]:

@@ -70,7 +70,6 @@ from repro.accel.report import NetworkReport
 from repro.accel.simcache import (
     CacheStats,
     SimulationCache,
-    layer_cache_key,
     network_cache_key,
     workloads_digest,
 )
@@ -187,15 +186,12 @@ def _simulate_report(cache: Optional[SimulationCache],
             return cached
     simulator = AcceleratorSimulator(
         job.config, energy_model, cache=cache, use_cache=cache is not None)
-    report = simulator.simulate(job.network, workloads)
-    if disk_tiered:
-        # report.layers holds one selected layer per workload, in input
-        # order, so this rebuilds exactly the layer keys the simulator
-        # just looked up (and therefore wrote through to disk).
-        layer_keys = [layer_cache_key(workload, layer.dataflow,
-                                      job.config, model)
-                      for workload, layer in zip(workloads, report.layers)]
-        cache.put_network(net_key, report, layer_keys)
+    if not disk_tiered:
+        return simulator.simulate(job.network, workloads)
+    # The selected layers' keys are exactly the ones the simulator just
+    # looked up (and so wrote through to disk).
+    report, layer_keys = simulator.simulate_keyed(job.network, workloads)
+    cache.put_network(net_key, report, layer_keys)
     return report
 
 

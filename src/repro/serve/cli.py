@@ -262,11 +262,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(error, file=sys.stderr)
         return 2
 
-    rng = np.random.default_rng(args.seed)
-    net = GraphNetwork(model_spec, rng=rng, batch_norm=True).eval()
-    print(f"built {model_spec.name} "
-          f"({net.num_parameters():,} parameters)", file=sys.stderr)
-
     service_time = None
     if args.sim:
         service_time = accelerator_service_time(
@@ -275,19 +270,30 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"sim pacing: {service_time.per_image_s * 1e3:.3f} ms/image "
               f"on {service_time.report.machine}", file=sys.stderr)
 
-    config = ServerConfig(
-        workers=args.workers,
-        max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
-        queue_depth=args.queue_depth,
-        default_deadline_ms=args.deadline_ms,
-        service_time=service_time,
-        worker_mode=args.worker_mode,
-        arena_trim_bytes=args.arena_trim_bytes,
-        compiled=args.compiled,
-        warmup=not args.no_warmup,
-        quantized_bits=args.quantized_bits,
-    )
+    # Validate the settings before paying for the network build.
+    try:
+        config = ServerConfig(
+            workers=args.workers,
+            max_batch_size=args.max_batch_size,
+            max_wait_ms=args.max_wait_ms,
+            queue_depth=args.queue_depth,
+            default_deadline_ms=args.deadline_ms,
+            service_time=service_time,
+            worker_mode=args.worker_mode,
+            arena_trim_bytes=args.arena_trim_bytes,
+            compiled=args.compiled,
+            warmup=not args.no_warmup,
+            quantized_bits=args.quantized_bits,
+        )
+    except ValueError as error:
+        print(f"config error: {error}", file=sys.stderr)
+        return 2
+
+    rng = np.random.default_rng(args.seed)
+    net = GraphNetwork(model_spec, rng=rng, batch_norm=True).eval()
+    print(f"built {model_spec.name} "
+          f"({net.num_parameters():,} parameters)", file=sys.stderr)
+
     shape = model_spec.input_shape
     inputs = rng.normal(
         size=(8, shape.channels, shape.height, shape.width))

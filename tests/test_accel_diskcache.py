@@ -10,6 +10,7 @@ garbage.
 
 import json
 import sqlite3
+import sys
 import threading
 
 import pytest
@@ -172,6 +173,37 @@ class TestConcurrency:
             for i in range(25):
                 assert cache.get((tid, i)).name == f"t{tid}-{i}"
 
+    def test_threads_putting_one_key_set_write_each_row_once(self, tmp_path):
+        """Threads racing to put the same keys through a tiered cache,
+        flushing between puts: every row reaches sqlite exactly once."""
+        disk = DiskCache(tmp_path, flush_every=3)
+        cache = SimulationCache(disk=disk)
+        keys = [("shape", i) for i in range(60)]
+        errors = []
+
+        def writer():
+            try:
+                for key in keys:
+                    cache.put(key, make_report())
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        cache.flush()
+        assert disk.stats().writes == len(keys) == len(cache)
+        cache.close()
+
     def test_racing_instances_same_key_identical_bytes(self, tmp_path):
         """Two handles writing the same deterministic entry never clash."""
         a, b = DiskCache(tmp_path), DiskCache(tmp_path)
@@ -250,6 +282,19 @@ class TestTiering:
         # Second run is served entirely by the promoted memory tier.
         assert cache.stats().disk.lookups == after_first
         assert cache.stats().misses == 0
+        cache.close()
+
+    def test_known_key_is_written_to_disk_once(self, tmp_path):
+        """A second put of a key already in memory (two sweep threads
+        simulating one layer at once) must not write the row again."""
+        disk = DiskCache(tmp_path)
+        cache = SimulationCache(disk=disk)
+        cache.put(KEY, make_report())
+        cache.flush()
+        cache.put(KEY, make_report())
+        cache.flush()
+        assert disk.stats().writes == 1
+        assert disk.stats().entries == len(cache) == 1
         cache.close()
 
     def test_no_stray_files_outside_cache_dir(self, tmp_path):

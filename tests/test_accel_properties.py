@@ -4,7 +4,8 @@ These pin the physical invariants any performance model must satisfy,
 over randomly drawn convolution geometries and machine configurations:
 throughput never exceeds peak, hybrid selection is optimal, traffic and
 energy are non-negative and at least one-pass, and utilization is
-bounded.
+bounded.  The OS model's closed-form tiling and pass costs are pinned
+to the enumerating loops they replace.
 """
 
 import dataclasses
@@ -18,6 +19,7 @@ from repro.accel import (
     WeightStationaryModel,
     squeezelerator,
 )
+from repro.accel.dataflows.base import OsBlock, block_sizes, os_blocks
 from repro.accel.dram import layer_traffic
 from repro.accel.workload import ConvWorkload
 from repro.graph import LayerCategory
@@ -196,3 +198,75 @@ def test_os_rf_monotone_in_cycles(workload):
         cycles = model.simulate(workload, squeezelerator(32, rf)).compute_cycles
         assert cycles <= previous * 1.02 + 1024
         previous = min(previous, cycles)
+
+
+def enumerated_os_blocks(workload, config):
+    """The OS tiling by walking the heights x widths grid: the oracle
+    for the closed-form :func:`os_blocks`."""
+    rows, cols = config.array_rows, config.array_cols
+    heights = block_sizes(workload.out_h, min(rows, workload.out_h))
+    widths = block_sizes(workload.out_w, min(cols, workload.out_w))
+    shapes = {}
+    for bh in heights:
+        for bw in widths:
+            shapes[(bh, bw)] = shapes.get((bh, bw), 0) + 1
+    blocks = []
+    for (bh, bw), count in shapes.items():
+        pack = max(1, rows // bh) * max(1, cols // bw)
+        passes = -(-workload.group_out_channels // (config.os_group_size
+                                                    * pack))
+        in_h = (bh - 1) * workload.stride_h + workload.kernel_h
+        in_w = (bw - 1) * workload.stride_w + workload.kernel_w
+        blocks.append(OsBlock(bh=bh, bw=bw, count=count, pack=pack,
+                              passes=passes, in_block_elems=in_h * in_w))
+    return blocks
+
+
+@st.composite
+def array_configs(draw):
+    """Arbitrary (also non-square) PE arrays and register files."""
+    return dataclasses.replace(
+        squeezelerator(),
+        array_rows=draw(st.integers(min_value=1, max_value=64)),
+        array_cols=draw(st.integers(min_value=1, max_value=64)),
+        rf_entries_per_pe=draw(st.integers(min_value=3, max_value=40)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(workload=workloads(), config=array_configs())
+def test_closed_form_os_tiling_equals_enumeration(workload, config):
+    """Same blocks, same fields, same order (the OS model sums in it)."""
+    assert os_blocks(workload, config) == enumerated_os_blocks(workload,
+                                                               config)
+
+
+def looped_block_cost(workload, config, block):
+    """The OS per-block sides with one full cost computation per filter
+    pass: the oracle for the model's full-pass/remainder split."""
+    taps = workload.filter_taps
+    density = 1.0 - config.weight_sparsity
+    c = workload.group_in_channels
+    preload = -(-block.in_block_elems // config.preload_elems_per_cycle)
+    depth = max(2, (config.preload_buffer_bytes // config.bytes_per_element)
+                // max(1, block.in_block_elems))
+    compute_side = preload_side = drain = 0.0
+    remaining = workload.group_out_channels
+    for _ in range(block.passes):
+        kp = min(config.os_group_size * block.pack, remaining)
+        remaining -= kp
+        lanes = min(block.pack, config.broadcast_lanes)
+        broadcast = -(-kp // lanes) * taps * density
+        drain = -(-(kp * block.bh * block.bw)
+                  // config.drain_elems_per_cycle)
+        compute_side += c * broadcast + drain
+        preload_side += c * preload + max(0.0, drain - (depth - 1) * preload)
+    return compute_side, preload_side, float(drain)
+
+
+@settings(max_examples=200, deadline=None)
+@given(workload=workloads(), config=array_configs())
+def test_os_pass_costs_bit_identical_to_per_pass_loop(workload, config):
+    model = OutputStationaryModel()
+    for block in os_blocks(workload, config):
+        *sides, _ = model._block_cost(workload, config, block)
+        assert tuple(sides) == looped_block_cost(workload, config, block)

@@ -570,6 +570,14 @@ class TestCLI:
         assert main(["--model", "nope"]) == 2
         assert "unknown model" in capsys.readouterr().err
 
+    def test_invalid_setting_is_a_config_error(self, capsys):
+        assert main(["--model", "tiny_darknet", "--workers", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "config error: workers must be >= 1" in captured.err
+        assert "Traceback" not in captured.err
+        # Rejected before the network is built.
+        assert "built " not in captured.err
+
     def test_build_spec_resolves_slugs_and_zoo_names(self):
         assert build_spec("sqnxt_23_v5").name == "1.0-SqNxt-23-v5"
         assert build_spec("SqueezeNext").name == "1.0-SqNxt-23"
