@@ -29,7 +29,6 @@ writes ``.bench-smoke/BENCH_nn_infer.json`` instead.
 
 import json
 import os
-import time
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +40,8 @@ from repro.nn import (
     compile_plan,
     layers,
 )
+
+from bench_timing import best_of
 
 SMOKE = os.environ.get("NN_INFER_SMOKE") == "1"
 _ROOT = Path(__file__).resolve().parent.parent
@@ -90,15 +91,6 @@ def looped_eval_forward(net: GraphNetwork, x: np.ndarray) -> np.ndarray:
             out = node.activation(out)
         values[node.name] = out
     return values[net._nodes[-1].name]
-
-
-def best_of(fn, repeats):
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
 
 
 def bench_models():

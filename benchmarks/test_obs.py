@@ -31,6 +31,8 @@ from repro.accel.config import squeezelerator
 from repro.experiments import runner
 from repro.models import squeezenext
 
+from bench_timing import best_of
+
 SMOKE = os.environ.get("OBS_SMOKE") == "1"
 _ROOT = Path(__file__).resolve().parent.parent
 #: Full runs refresh the tracked record at the repository root;
@@ -70,16 +72,6 @@ def plain_simulate(simulator: AcceleratorSimulator, network,
         num_pes=simulator.config.num_pes,
         cache_stats=None,
     )
-
-
-def best_of(fn, repeats: int) -> float:
-    """Minimum wall time over ``repeats`` runs (noise-robust)."""
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
 
 
 def test_obs_overhead_and_trace():

@@ -5,8 +5,6 @@ machinery (simulator throughput, numpy kernel speed, training step), so
 regressions in the tooling are visible.
 """
 
-import time
-
 import numpy as np
 
 from repro.accel import Squeezelerator
@@ -16,6 +14,8 @@ from repro.graph import NetworkBuilder, TensorShape
 from repro.models import build_model, squeezenet_v1_0, squeezenext
 from repro.nn import GraphNetwork, SGD, Trainer, make_shapes_dataset
 from repro.nn.layers import Conv2D
+
+from bench_timing import best_of
 
 
 def test_simulator_throughput_squeezenet(benchmark):
@@ -46,17 +46,9 @@ def test_tune_sweep_cache_speedup(benchmark):
         return tune_for_network(
             network, engine=SweepEngine(max_workers=1, use_cache=False))
 
-    def best_of(fn, repeats=7):
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - start)
-        return min(times)
-
     cached(), uncached()  # warm-up
-    t_uncached = best_of(uncached)
-    t_cached = best_of(cached)
+    t_uncached = best_of(uncached, 7)
+    t_cached = best_of(cached, 7)
 
     best_cached = benchmark(cached)
     best_uncached = uncached()

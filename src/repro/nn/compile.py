@@ -45,10 +45,13 @@ containers (bounded by the plan's ``_check_exact``) and share the
 epilogue code object, so integer outputs are bit-identical to the
 interpreted integer plan.
 
-Thread safety: a :class:`CompiledPlan` may be shared across threads —
-each thread binds its own static-arena block on first use (the program
-metadata and weight views are immutable).  Fallback runs through the
-interpreted plan under a lock.
+Thread safety: a :class:`CompiledPlan` may be shared across threads
+(the program metadata and weight views are immutable).  Each thread
+binds one static block, sized for the largest compiled program, and
+every batch program it runs is a set of views into that block: a
+program refills every byte it reads during a run, so programs take
+turns in the block safely.  The interpreted plan is only the
+compiler's input; nothing falls back to it at run time.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ import numpy as np
 from repro import obs
 from repro.nn import layers
 from repro.nn.functional import conv_output_plane
-from repro.nn.infer import BufferArena, InferencePlan, _ModuleStep
+from repro.nn.infer import InferencePlan, _ModuleStep
 from repro.nn.module import Identity, no_grad
 from repro.nn.quant import (
     QuantizedIdentity,
@@ -220,7 +223,7 @@ class _StepIR:
 
 
 class _BoundProgram:
-    """A program bound to one thread's static-arena block."""
+    """A program bound to views of one thread's static block."""
 
     __slots__ = ("block", "ops", "names", "labels", "load", "output_fn",
                  "batch")
@@ -258,11 +261,11 @@ class _BindEnv:
 class CompiledProgram:
     """Immutable compiled program for one batch size.
 
-    Holds the step IR and buffer table; :meth:`bound` binds (or
-    returns) the calling thread's block + kernel closures.  Bound
-    replicas are cached per thread, so one program can serve any number
-    of threads with one static arena each.  ``bits`` is ``None`` for a
-    float64 program, else the integer plan's activation width.
+    Holds the step IR and buffer table; :meth:`bind` lays the kernel
+    closures over a caller-owned block of at least ``total_bytes``.
+    ``bound_replicas`` counts those bindings (one per thread that ran
+    the program).  ``bits`` is ``None`` for a float64 program, else the
+    integer plan's activation width.
     """
 
     def __init__(self, steps: List[_StepIR], bufs: List[_Buf],
@@ -275,7 +278,6 @@ class CompiledProgram:
         self.batch = batch
         self.input_shape = input_shape
         self.bits = bits
-        self._local = threading.local()
         self._bind_lock = threading.Lock()
         self._replicas = 0
 
@@ -295,19 +297,11 @@ class CompiledProgram:
 
     # -- binding -------------------------------------------------------------
 
-    def bound(self) -> _BoundProgram:
-        prog = getattr(self._local, "bound", None)
-        if prog is None:
-            prog = self._bind()
-            self._local.bound = prog
-            with self._bind_lock:
-                self._replicas += 1
-            obs.count("infer.compiled.bind")
-            obs.gauge("infer.compiled.arena_bytes", self.total_bytes)
-        return prog
-
-    def _bind(self) -> _BoundProgram:
-        block = np.empty(max(self.total_bytes, ALIGN), dtype=np.uint8)
+    def bind(self, block: np.ndarray) -> _BoundProgram:
+        """Kernel closures over views of ``block`` (one thread's block)."""
+        with self._bind_lock:
+            self._replicas += 1
+        obs.count("infer.compiled.bind")
         views: List[np.ndarray] = []
         for buf in self._bufs:
             raw = block[buf.offset:buf.offset + buf.nbytes]
@@ -1063,7 +1057,6 @@ class CompiledStats:
     """Aggregate counters for one :class:`CompiledPlan`."""
 
     compiled_batches: Tuple[int, ...] = ()
-    fallbacks: int = 0
     runs: int = 0
     arena_bytes: Dict[int, int] = field(default_factory=dict)
     bound_replicas: Dict[int, int] = field(default_factory=dict)
@@ -1074,34 +1067,29 @@ class CompiledPlan:
 
     The plan is a float :class:`~repro.nn.infer.InferencePlan` or an
     integer :class:`~repro.nn.quant.QuantizedInferencePlan`.  ``run``
-    dispatches to the program compiled for ``x.shape[0]``; any mismatch
-    (batch size, input shape, dtype) transparently falls back to the
-    interpreted plan (counted in ``fallbacks`` and the
-    ``infer.compiled.fallback`` obs counter) unless ``autocompile`` is
-    set, in which case unseen batch sizes are compiled on first use.
-    Integer programs also take pre-quantized input through
+    dispatches to the program compiled for ``x.shape[0]``, compiling a
+    batch size it has not met on first use; an input whose per-sample
+    shape is not ``input_shape`` raises ``ValueError``.  Integer
+    programs also take pre-quantized input through
     :meth:`run_quantized` (serving ring payloads).
 
     Sharing: the compiled programs (step metadata, offsets, weight
-    views) are immutable and shared by every thread and every
-    :meth:`clone`; each thread binds its own static-arena block on
-    first use.  The interpreted fallback plan is per-clone and guarded
-    by a lock.
+    views) are immutable and shared by every thread.  Each thread binds
+    one static block, sized for the largest program compiled when it
+    binds, and every program it runs is a set of views into that block
+    (:meth:`block_bytes`).  A larger program compiled later replaces
+    the thread's block, and that thread's programs bind again.
     """
 
     def __init__(self, plan: Union[InferencePlan, QuantizedInferencePlan],
                  input_shape: Tuple[int, int, int],
-                 batch_sizes: Sequence[int] = (1,), *,
-                 autocompile: bool = False) -> None:
-        if not batch_sizes and not autocompile:
-            raise ValueError("need at least one batch size or autocompile")
+                 batch_sizes: Sequence[int] = (1,)) -> None:
         self._plan = plan
         self.input_shape = tuple(int(d) for d in input_shape)
-        self.autocompile = autocompile
         self._programs: Dict[int, CompiledProgram] = {}
         self._compile_lock = threading.Lock()
-        self._fallback_lock = threading.Lock()
-        self.fallbacks = 0
+        self._local = threading.local()
+        self._runs_lock = threading.Lock()
         self.runs = 0
         for b in batch_sizes:
             self._ensure(int(b))
@@ -1128,16 +1116,6 @@ class CompiledPlan:
         return self._plan
 
     @property
-    def arena(self) -> BufferArena:
-        """The interpreted fallback plan's arena.
-
-        Only fallback runs touch it: each compiled program binds its own
-        static block per thread, which this arena neither holds nor
-        counts.
-        """
-        return self._plan.arena
-
-    @property
     def batch_sizes(self) -> Tuple[int, ...]:
         return tuple(sorted(self._programs))
 
@@ -1152,6 +1130,11 @@ class CompiledPlan:
     def static_arena_bytes(self, batch: int) -> int:
         return self._programs[batch].total_bytes
 
+    def block_bytes(self) -> int:
+        """Size of the calling thread's static block (0 before it runs)."""
+        block = getattr(self._local, "block", None)
+        return 0 if block is None else block.nbytes
+
     @property
     def fused_step_count(self) -> int:
         return self._plan.fused_step_count
@@ -1159,7 +1142,6 @@ class CompiledPlan:
     def stats(self) -> CompiledStats:
         return CompiledStats(
             compiled_batches=self.batch_sizes,
-            fallbacks=self.fallbacks,
             runs=self.runs,
             arena_bytes={b: p.total_bytes
                          for b, p in self._programs.items()},
@@ -1167,76 +1149,57 @@ class CompiledPlan:
                             for b, p in self._programs.items()},
         )
 
-    def clone(self) -> "CompiledPlan":
-        """A replica sharing the compiled programs and weights.
-
-        The clone gets its own interpreted fallback plan (private
-        arena) and its own counters; the immutable compiled programs —
-        which already bind per-thread — are shared.
-        """
-        replica = CompiledPlan.__new__(CompiledPlan)
-        replica._plan = self._plan.clone()
-        replica.input_shape = self.input_shape
-        replica.autocompile = self.autocompile
-        replica._programs = self._programs
-        replica._compile_lock = self._compile_lock
-        replica._fallback_lock = threading.Lock()
-        replica.fallbacks = 0
-        replica.runs = 0
-        return replica
-
     # -- execution -----------------------------------------------------------
 
-    def _fallback(self, run: Callable[..., np.ndarray],
-                  *args: np.ndarray) -> np.ndarray:
-        self.fallbacks += 1
-        obs.count("infer.compiled.fallback")
-        with self._fallback_lock:
-            return run(*args)
+    def _bound(self, x: np.ndarray) -> _BoundProgram:
+        """The calling thread's binding of the program for ``x``.
 
-    def _program_for(self, x: np.ndarray) -> Optional[CompiledProgram]:
+        Counts the run: threads share the plan, so under a lock.
+        """
         if x.ndim != 4 or tuple(x.shape[1:]) != self.input_shape:
-            return None
+            raise ValueError(f"expected input shape (N,) + "
+                             f"{self.input_shape}, got {tuple(x.shape)}")
+        with self._runs_lock:
+            self.runs += 1
         batch = int(x.shape[0])
-        prog = self._programs.get(batch)
-        if prog is None and self.autocompile:
-            prog = self._ensure(batch)
+        local = self._local
+        bound = getattr(local, "bound", None)
+        prog = bound.get(batch) if bound is not None else None
+        if prog is not None:
+            return prog
+        program = self._ensure(batch)
+        if bound is None or program.total_bytes > local.block.nbytes:
+            size = max(p.total_bytes for p in self._programs.values())
+            local.block = np.empty(max(size, ALIGN), dtype=np.uint8)
+            local.bound = bound = {}
+            obs.count("infer.compiled.block")
+            obs.gauge("infer.compiled.arena_bytes", local.block.nbytes)
+        prog = bound[batch] = program.bind(local.block)
         return prog
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        self.runs += 1
-        prog = self._program_for(x) if x.dtype == _F64 else None
-        if prog is None:
-            return self._fallback(self._plan.run, x)
-        return prog.bound().execute(x)
+        return self._bound(x).execute(x)
 
     def run_quantized(self, q: np.ndarray,
                       scales: np.ndarray) -> np.ndarray:
         """Run an integer plan on pre-quantized levels + sample scales."""
         if not isinstance(self._plan, QuantizedInferencePlan):
             raise TypeError("run_quantized needs a quantized plan")
-        self.runs += 1
-        prog = self._program_for(q)
-        if prog is None:
-            return self._fallback(self._plan.run_quantized, q, scales)
-        return prog.bound().execute(q, scales)
+        return self._bound(q).execute(q, scales)
 
     __call__ = run
 
 
 def compile_plan(plan: Union[InferencePlan, QuantizedInferencePlan],
                  input_shape: Tuple[int, int, int],
-                 batch_sizes: Sequence[int] = (1,), *,
-                 autocompile: bool = False) -> CompiledPlan:
+                 batch_sizes: Sequence[int] = (1,)) -> CompiledPlan:
     """Lower an interpreted float or integer plan into batch programs.
 
     ``input_shape`` is the per-sample ``(C, H, W)`` shape (batch
-    excluded).  ``batch_sizes`` are compiled eagerly; other batch sizes
-    either fall back to the interpreted plan or — with
-    ``autocompile=True`` — compile on first use.
+    excluded).  ``batch_sizes`` are compiled eagerly; any other batch
+    size compiles on first use.
     """
-    return CompiledPlan(plan, input_shape, batch_sizes,
-                        autocompile=autocompile)
+    return CompiledPlan(plan, input_shape, batch_sizes)
 
 
 compile_quantized_plan = compile_plan

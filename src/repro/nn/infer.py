@@ -62,7 +62,6 @@ class BufferArena:
         self.hits = 0
         self.misses = 0
         self.releases = 0
-        self.trims = 0
 
     def acquire(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
         key = (tuple(shape), np.dtype(dtype))
@@ -92,57 +91,18 @@ class BufferArena:
     def clear(self) -> None:
         self._free.clear()
 
-    def trim(self, max_held_bytes: int) -> int:
-        """Evict free buffers, largest first, until at most ``max_held_bytes``.
-
-        A long-running server otherwise pins its peak-shape scratch
-        forever: shape-keyed buckets are never evicted, so one burst of
-        large batches leaves hundreds of MiB on the free lists.  Calling
-        ``trim`` between batches caps that high water.  Largest buffers
-        go first — they are exactly the peak-shape scratch — and the
-        most recently released buffer of each surviving bucket is kept,
-        so steady-state shapes still recycle.  Returns the number of
-        buffers evicted (also accumulated in ``trims``).
-        """
-        if max_held_bytes < 0:
-            raise ValueError("max_held_bytes must be >= 0")
-        held = self.held_bytes
-        if held <= max_held_bytes:
-            return 0
-        evicted = 0
-        by_size = sorted(
-            self._free,
-            key=lambda key: int(np.prod(key[0], dtype=np.int64))
-            * key[1].itemsize,
-            reverse=True)
-        for key in by_size:
-            bucket = self._free[key]
-            while bucket and held > max_held_bytes:
-                held -= bucket.pop(0).nbytes
-                evicted += 1
-            if not bucket:
-                del self._free[key]
-            if held <= max_held_bytes:
-                break
-        self.trims += evicted
-        if evicted:
-            obs.count("arena.trims", evicted)
-        return evicted
-
     def stats(self) -> Dict[str, int]:
         return {
             "hits": self.hits,
             "misses": self.misses,
             "releases": self.releases,
-            "trims": self.trims,
             "held_bytes": self.held_bytes,
         }
 
     @staticmethod
     def merge_stats(stats: Iterable[Mapping[str, int]]) -> Dict[str, int]:
         """Sum per-replica :meth:`stats` dicts into one aggregate."""
-        total = {"hits": 0, "misses": 0, "releases": 0, "trims": 0,
-                 "held_bytes": 0}
+        total = {"hits": 0, "misses": 0, "releases": 0, "held_bytes": 0}
         for snapshot in stats:
             for key in total:
                 total[key] += int(snapshot.get(key, 0))

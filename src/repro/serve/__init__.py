@@ -3,8 +3,9 @@ control.
 
 The deployment layer the paper's §2 story points at: individual
 embedded-vision queries arrive one image at a time, and this package
-turns them into batched :class:`~repro.nn.infer.InferencePlan`
-executions behind a bounded queue::
+turns them into batched runs of an
+:class:`~repro.nn.infer.InferencePlan`'s compiled programs behind a
+bounded queue::
 
     from repro import serve
     from repro.nn import GraphNetwork
@@ -24,14 +25,14 @@ Guarantees: a full queue rejects with :class:`QueueFull` (memory is
 bounded), queued requests past their deadline fail with
 :class:`DeadlineExceeded` instead of occupying a batch slot,
 ``shutdown()`` drains and joins without dropping any accepted request,
-and every response is bit-identical to running the plan on that single
-image directly.  ``repro-serve`` (:mod:`repro.serve.cli`) packages the
+and every response is bit-identical to running the compiled plan on
+that single image directly.  ``repro-serve`` (:mod:`repro.serve.cli`) packages the
 whole loop as a console script.
 
 Two worker-pool backends sit behind ``ServerConfig.worker_mode``:
-``"thread"`` (default) and ``"process"``, which publishes the fused
-weights once over :mod:`multiprocessing.shared_memory` and runs
-GIL-free worker processes (:mod:`repro.serve.procpool`).  A worker
+``"thread"`` (default) and ``"process"``, which forks GIL-free worker
+processes from the one compiled runtime and moves batches over
+:mod:`multiprocessing.shared_memory` rings (:mod:`repro.serve.procpool`).  A worker
 process dying mid-batch fails exactly its own requests with
 :class:`WorkerCrashed`; the rest of the pool keeps serving.
 """

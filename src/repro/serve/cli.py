@@ -8,7 +8,7 @@ report and server statistics::
     repro-serve --model squeezenet_v1_1 --clients 8 --requests 64
     repro-serve --model sqnxt_23 --rps 100 --sim --time-scale 0.1
     repro-serve --model sqnxt_23_v5 --worker-mode process --workers 4
-    repro-serve --model mobilenet --compiled --rps 50 --duration 5
+    repro-serve --model mobilenet --rps 50 --duration 5
     repro-serve --model squeezenet_v1_1 --quantized-bits 16 --rps 100
     repro-serve --fleet fleet.json --rps 40 --duration 10 --json out.json
 
@@ -101,9 +101,7 @@ def format_report(load: LoadReport, stats: ServerStats,
          f"{stats.mean_batch_size:.2f}  sizes "
          + " ".join(f"{size}x{count}" for size, count in
                     sorted(stats.batch_size_hist.items()))),
-        (f"arena hits {stats.arena['hits']}  misses "
-         f"{stats.arena['misses']}  held "
-         f"{stats.arena['held_bytes'] / 2**20:.1f} MiB"),
+        f"static blocks held {stats.arena['held_bytes'] / 2**20:.1f} MiB",
     ]
     return "\n".join(lines)
 
@@ -203,10 +201,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "bit-identical, right for --sim pacing) "
                              "or process (GIL-free host scaling; "
                              "workers fork the one built model)")
-    parser.add_argument("--compiled", action="store_true",
-                        help="run workers on the AOT-compiled executor "
-                             "(static arena, pre-bound kernels; see "
-                             "repro.nn.compile)")
     parser.add_argument("--quantized-bits", type=int, default=None,
                         metavar="BITS",
                         help="serve through the integer plan at this "
@@ -220,9 +214,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         default="poisson",
                         help="open-loop schedule: seeded Poisson "
                              "bursts (default) or fixed 1/rps gaps")
-    parser.add_argument("--arena-trim-bytes", type=int, default=None,
-                        help="cap each worker arena's free-list high "
-                             "water (bytes; default: unbounded)")
     parser.add_argument("--max-batch-size", type=int, default=8,
                         help="dynamic batch ceiling (default: 8)")
     parser.add_argument("--max-wait-ms", type=float, default=2.0,
@@ -280,8 +271,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             default_deadline_ms=args.deadline_ms,
             service_time=service_time,
             worker_mode=args.worker_mode,
-            arena_trim_bytes=args.arena_trim_bytes,
-            compiled=args.compiled,
             warmup=not args.no_warmup,
             quantized_bits=args.quantized_bits,
         )

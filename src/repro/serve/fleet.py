@@ -2,7 +2,7 @@
 
 :class:`ModelFleet` is the deployment story the paper's frontier was
 always pointing at.  Each resident model gets its own
-:class:`~repro.serve.Server` (plan, arena, worker pool — thread or
+:class:`~repro.serve.Server` (compiled plan, worker pool — thread or
 process mode, optionally paced to the simulated Squeezelerator);
 in front of them sits one multi-tenant admission plane:
 
@@ -126,9 +126,7 @@ class FleetModelSpec:
     max_wait_ms: float = 2.0
     queue_depth: int = 64
     worker_mode: str = "thread"
-    compiled: bool = False
     quantized_bits: Optional[int] = None
-    arena_trim_bytes: Optional[int] = None
     service_time: Optional[Callable[[int], float]] = None
 
     def __post_init__(self) -> None:
@@ -143,9 +141,7 @@ class FleetModelSpec:
             "max_wait_ms": self.max_wait_ms,
             "queue_depth": self.queue_depth,
             "worker_mode": self.worker_mode,
-            "compiled": self.compiled,
             "quantized_bits": self.quantized_bits,
-            "arena_trim_bytes": self.arena_trim_bytes,
         }
 
 
@@ -398,9 +394,7 @@ class ModelFleet:
                 queue_depth=model.queue_depth,
                 service_time=service_time,
                 worker_mode=model.worker_mode,
-                compiled=model.compiled,
                 quantized_bits=model.quantized_bits,
-                arena_trim_bytes=model.arena_trim_bytes,
             )
             self._servers[model.slug] = Server.for_network(
                 net, server_config, name=f"fleet:{model.slug}")

@@ -3,14 +3,15 @@
 The process-mode backend of :class:`repro.serve.Server`.  Topology:
 
 * **The worker job** — :class:`WorkerRuntime`, shared with thread
-  mode.  The server builds one runtime (executor build: ``quantize``,
-  then ``CompiledPlan``, as configured) before any worker exists; the
-  pool forks its workers and each child runs ``runtime.clone(index)``
-  on the runtime it inherited, exactly as a thread worker does.
-  Quantizing and compiling happen once, in the parent, and every
-  worker shares the built weights copy-on-write: N workers cost one
-  copy of the model plus N arenas.  Each child then warms up and runs,
-  paces and tallies its batches.
+  mode.  The server builds one runtime (executor build: ``quantize``
+  when configured, then ``CompiledPlan``) before any worker exists;
+  the pool forks its workers and each child runs
+  ``runtime.clone(index)`` on the runtime it inherited, exactly as a
+  thread worker does.  Quantizing and compiling happen once, in the
+  parent, and every worker shares the built programs copy-on-write:
+  N workers cost one copy of the model plus N static blocks, each
+  sized for the largest compiled batch.  Each child then warms up and
+  runs, paces and tallies its batches.
 * **Requests** — one small :class:`~repro.serve.shm.ShmRing` per worker
   (single producer, single consumer).  The parent's dispatcher stacks
   a batch, writes it into the next worker's ring (header + monotonic
@@ -24,8 +25,8 @@ The process-mode backend of :class:`repro.serve.Server`.  Topology:
   collector consuming.  Slots carry per-request status words (delivered
   / expired-in-worker) plus the raw batched output.
 * **Stats** — a per-worker slice of one stats segment holding the
-  runtime's :meth:`~WorkerRuntime.snapshot` (counters, arena stats,
-  batch-size histogram and a full :class:`~repro.obs.LatencyHistogram`
+  runtime's :meth:`~WorkerRuntime.snapshot` (counters, static-block
+  bytes, batch-size histogram and a full :class:`~repro.obs.LatencyHistogram`
   state vector), overwritten after each batch under a per-worker lock
   and folded into :class:`~repro.serve.ServerStats` via the
   layout-checked ``merge_state``.
@@ -75,9 +76,8 @@ _REQ_HEADER = 3   # kind, batch_id, size (int64)
 _RESP_HEADER = 5  # kind, batch_id, worker, size, extra (int64)
 
 #: Stats-slice scalars, in order (followed by batch hist + latency state).
-_COUNTERS = ("completed", "failed", "expired", "batches")
-_ARENA = ("hits", "misses", "releases", "trims", "held_bytes")
-_N_COUNTERS = len(_COUNTERS) + len(_ARENA)
+_COUNTERS = ("completed", "failed", "expired", "batches", "held_bytes")
+_N_COUNTERS = len(_COUNTERS)
 
 
 @dataclass(frozen=True)
@@ -114,39 +114,33 @@ class WorkerRuntime:
 
     Built from ``(plan, config, input_shape)``, it owns:
 
-    * the executor — the plan, its ``quantize(config.quantized_bits)``
-      lowering when set, wrapped in a
-      :class:`~repro.nn.compile.CompiledPlan` (batch sizes 1 and
-      ``max_batch_size`` eagerly, others on first use) when
-      ``config.compiled`` is;
+    * the executor — a :class:`~repro.nn.compile.CompiledPlan` over
+      the plan, or over its ``quantize(config.quantized_bits)``
+      lowering when set (batch sizes 1 and ``max_batch_size`` compile
+      eagerly, others on first use);
     * :meth:`warm_up`, one dummy batch before the first request;
     * :meth:`run`, one batch: execute, sleep out
-      ``config.service_time``, tally, trim the arena;
+      ``config.service_time``, tally;
     * :meth:`snapshot`, the tallies in the form
       :meth:`ProcessWorkerPool.worker_snapshots` returns.
 
     The server builds one runtime and every worker runs a
     :meth:`clone` of it — a thread worker in the server's process, a
-    process worker in its forked child.  A runtime is single-threaded,
-    like the arena it drives: its worker publishes snapshots, and
-    readers merge those, never the runtime.
+    process worker in its forked child.  Clones share the executor;
+    each worker thread binds its own static block in it.  A runtime is
+    single-threaded: its worker publishes snapshots, and readers merge
+    those, never the runtime.
     """
 
     def __init__(self, plan: InferencePlan, config: "ServerConfig",
-                 input_shape: Optional[Tuple[int, ...]],
-                 index: int = 0) -> None:
+                 input_shape: Tuple[int, ...], index: int = 0) -> None:
         self.config = config
-        self.input_shape = (tuple(input_shape) if input_shape is not None
-                            else None)
+        self.input_shape = tuple(input_shape)
         self.index = index
-        executor = plan
         if config.quantized_bits is not None:
-            executor = executor.quantize(config.quantized_bits)
-        if config.compiled:
-            executor = CompiledPlan(executor, self.input_shape,
-                                    batch_sizes=(1, config.max_batch_size),
-                                    autocompile=True)
-        self.executor = executor
+            plan = plan.quantize(config.quantized_bits)
+        self.executor = CompiledPlan(plan, self.input_shape,
+                                     batch_sizes=(1, config.max_batch_size))
         self._reset()
 
     def _reset(self) -> None:
@@ -162,24 +156,23 @@ class WorkerRuntime:
     def clone(self, index: int) -> "WorkerRuntime":
         """A replica for another worker with fresh tallies.
 
-        The executor clone shares the weights (and compiled programs)
-        and brings its own arena.
+        It shares the executor; the worker's thread binds its own
+        static block there on its first batch.
         """
         replica = copy.copy(self)
         replica.index = index
-        replica.executor = self.executor.clone()
         replica._reset()
         return replica
 
     def warm_up(self) -> None:
         """One dummy batch so the first real request pays no cold-start.
 
-        Binds the compiled program (or faults in the interpreted arena's
-        peak-shape buffers) outside any request's latency window.
-        Failures are deliberately swallowed: a plan that cannot run
-        zeros will fail the first real batch with the genuine error.
+        Binds the worker's static block and batch-1 program outside any
+        request's latency window.  Failures are deliberately swallowed:
+        a plan that cannot run zeros will fail the first real batch with
+        the genuine error.
         """
-        if not self.config.warmup or self.input_shape is None:
+        if not self.config.warmup:
             return
         try:
             with obs.span("serve.warmup", worker=self.index):
@@ -191,7 +184,7 @@ class WorkerRuntime:
 
     def run(self, xs, submits: Sequence[float],
             scales: Optional[np.ndarray] = None) -> np.ndarray:
-        """Execute one batch, pace it, tally it and trim the arena.
+        """Execute one batch, pace it and tally it.
 
         ``xs`` is the stacked batch, or the list of single images to
         stack.  ``submits`` holds the monotonic submit stamps of the
@@ -217,9 +210,6 @@ class WorkerRuntime:
             self.failed += len(submits)
             self.batches += 1
             raise
-        finally:
-            if self.config.arena_trim_bytes is not None:
-                self.executor.arena.trim(self.config.arena_trim_bytes)
         done = time.monotonic()
         self.completed += len(submits)
         self.batches += 1
@@ -229,7 +219,11 @@ class WorkerRuntime:
         return out
 
     def snapshot(self) -> dict:
-        """Counters, arena stats, batch-size and latency histograms."""
+        """Counters, static-block bytes, batch-size and latency histograms.
+
+        ``held_bytes`` is the static block of the calling thread — the
+        worker's own, since only the worker publishes its snapshots.
+        """
         latency_state = np.empty(self.latency.state_len())
         self.latency.write_state(latency_state)
         return {
@@ -237,7 +231,7 @@ class WorkerRuntime:
             "failed": self.failed,
             "expired": self.expired,
             "batches": self.batches,
-            "arena": self.executor.arena.stats(),
+            "held_bytes": self.executor.block_bytes(),
             "batch_hist": self.batch_hist.copy(),
             "latency_state": latency_state,
         }
@@ -245,8 +239,7 @@ class WorkerRuntime:
 
 def _write_snapshot(view: np.ndarray, snapshot: dict) -> None:
     """Pack a :meth:`WorkerRuntime.snapshot` into a stats slice."""
-    view[:_N_COUNTERS] = ([snapshot[key] for key in _COUNTERS]
-                          + [snapshot["arena"][key] for key in _ARENA])
+    view[:_N_COUNTERS] = [snapshot[key] for key in _COUNTERS]
     n = len(snapshot["batch_hist"])
     view[_N_COUNTERS:_N_COUNTERS + n] = snapshot["batch_hist"]
     view[_N_COUNTERS + n:] = snapshot["latency_state"]
@@ -255,8 +248,6 @@ def _write_snapshot(view: np.ndarray, snapshot: dict) -> None:
 def _read_snapshot(row: np.ndarray, max_batch: int) -> dict:
     """The inverse of :func:`_write_snapshot`."""
     snapshot = {key: int(row[i]) for i, key in enumerate(_COUNTERS)}
-    snapshot["arena"] = {key: int(row[len(_COUNTERS) + i])
-                         for i, key in enumerate(_ARENA)}
     snapshot["batch_hist"] = row[_N_COUNTERS:_N_COUNTERS + max_batch]
     snapshot["latency_state"] = row[_N_COUNTERS + max_batch:]
     return snapshot
@@ -268,8 +259,8 @@ def _read_snapshot(row: np.ndarray, max_batch: int) -> dict:
 def _worker_main(setup: _WorkerSetup, req_handle: RingHandle,
                  resp_handle: RingHandle, stats_lock, stop_event) -> None:
     # The forked child inherited the parent's built executor; its clone
-    # shares those weights and compiled programs copy-on-write and adds
-    # only a private arena.
+    # shares those compiled programs copy-on-write and adds only the
+    # static block this process binds on its first batch.
     runtime = setup.runtime.clone(setup.index)
     input_shape = runtime.input_shape
     qdtype = None
@@ -371,7 +362,7 @@ class ProcessWorkerPool:
 
     Forks one worker per ``runtime.config.workers`` from the server's
     built :class:`WorkerRuntime`, which must not have run yet (its
-    arena and compiled bindings would be copied into every child).
+    static block would be copied into every child).
     Owns every segment (rings, stats) — :meth:`cleanup` unlinks them
     all, so ``/dev/shm`` is clean after shutdown even if workers were
     killed mid-batch.  Lifecycle: ``start`` → any number of
@@ -520,7 +511,7 @@ class ProcessWorkerPool:
     # -- stats -------------------------------------------------------------
 
     def worker_snapshots(self) -> List[dict]:
-        """Per-worker stats copies: counters, arena, batch hist, latency."""
+        """Per-worker stats copies: counters, block bytes, batch hist, latency."""
         snapshots = []
         for i in range(self.workers):
             with self._stats_locks[i]:

@@ -1,7 +1,8 @@
 """The serving runtime: bounded queue, dynamic batcher, worker pool.
 
 :class:`Server` turns individual embedded-vision queries into batched
-:class:`~repro.nn.infer.InferencePlan` executions:
+runs of an :class:`~repro.nn.infer.InferencePlan`'s compiled programs
+(:mod:`repro.nn.compile`):
 
 * **Admission control** — a bounded stdlib queue.  When it is full,
   ``submit`` raises :class:`~repro.serve.QueueFull` *synchronously*
@@ -12,16 +13,18 @@
 * **Dynamic batching** — a worker that dequeues a request keeps
   coalescing until it holds ``max_batch_size`` requests or
   ``max_wait_ms`` has passed since the first one, then stacks the
-  inputs and runs the plan once.  Under load, batches fill instantly
-  and the wait never triggers; at low load a request pays at most
-  ``max_wait_ms`` extra latency.
+  inputs and runs the batch's compiled program once.  Under load,
+  batches fill instantly and the wait never triggers; at low load a
+  request pays at most ``max_wait_ms`` extra latency.
 * **Worker pool** — two backends behind one knob
   (``ServerConfig.worker_mode``):
 
   Either way the server builds one
-  :class:`~repro.serve.procpool.WorkerRuntime` (quantized and
-  compiled as configured) and every worker runs a clone of it, sharing
-  its weights and adding a private arena.
+  :class:`~repro.serve.procpool.WorkerRuntime` (quantized as
+  configured, then compiled) and every worker runs a clone of it,
+  sharing its compiled programs and binding one static block, sized
+  for the largest compiled batch, that every batch program of that
+  worker runs in.
 
   - ``"thread"`` (default): each worker thread owns a clone and
     publishes its tallies as a snapshot after each batch.  Right
@@ -30,10 +33,10 @@
   - ``"process"``: numpy inference holds the GIL, so thread workers
     *contend* instead of scaling on real host compute.  Process mode
     forks worker processes that clone the inherited runtime (its
-    weights stay shared copy-on-write; :mod:`repro.serve.procpool`)
+    programs stay shared copy-on-write; :mod:`repro.serve.procpool`)
     and moves batches over pickle-free shared-memory rings.
     Admission control and the dynamic batcher stay in the parent;
-    responses remain bit-identical to direct plan execution.
+    responses remain bit-identical to a direct compiled run.
 
 * **Graceful shutdown** — ``shutdown()`` stops admissions, then (by
   default) drains: queued requests are still executed, workers finish
@@ -67,7 +70,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.nn.infer import BufferArena, InferencePlan
+from repro.nn.infer import InferencePlan
 from repro.obs.hist import LatencyHistogram
 from repro.serve.procpool import STATUS_EXPIRED, ProcessWorkerPool, \
     WorkerRuntime
@@ -98,31 +101,24 @@ class ServerConfig:
     ``worker_mode`` picks the pool backend: ``"thread"`` (default;
     bit-identical, right for sim-paced runs) or ``"process"``
     (GIL-free scaling on host compute; see the module docstring for
-    the decision guide).  ``arena_trim_bytes`` caps each worker
-    arena's free-list high water — between batches, buffers above the
-    cap are evicted largest-first so long-running servers release
-    peak-shape scratch.  With ``compiled`` that arena is the
-    interpreted fallback plan's, and ``stats().arena`` reports only
-    it: the static block a worker binds per compiled batch size is
-    neither trimmed nor counted.  Process workers are forked, so
+    the decision guide).  Process workers are forked, so
     ``"process"`` needs a platform with the ``fork`` start method.
 
-    ``compiled`` runs each worker's plan through
-    :func:`repro.nn.compile.compile_plan` — batch sizes 1 and
+    Workers always run the plan through
+    :func:`repro.nn.compile.compile_plan`: batch sizes 1 and
     ``max_batch_size`` compile eagerly, other coalesced sizes compile
-    on first use, and shape/dtype mismatches fall back to the
-    interpreted plan (requires ``input_shape``; ``Server.for_network``
-    provides it).  ``warmup`` (default on when the input shape is
-    known) runs one dummy batch through every worker at start so the
-    first real request pays no arena/bind cold-start.
+    on first use.  Each worker binds one static block, sized for its
+    largest compiled batch, and ``stats().arena["held_bytes"]`` sums
+    those blocks.  ``compiled`` stays for callers that pass
+    ``compiled=True``; ``compiled=False`` raises ``ValueError``.
+    ``warmup`` (default on) runs one dummy batch through every worker
+    at start so the first real request pays no bind cold-start.
 
     ``quantized_bits`` (e.g. ``16``) serves through a
-    :class:`~repro.nn.quant.QuantizedInferencePlan`: every worker
-    clones the server's one quantized lowering of the plan, and in
-    process mode the request rings carry int16/int8 payloads plus
-    per-sample scales instead of float64.  With ``compiled`` as well,
-    workers run the AOT-compiled integer program over that quantized
-    plan.
+    :class:`~repro.nn.quant.QuantizedInferencePlan`: workers run the
+    compiled integer program over the server's one quantized lowering
+    of the plan, and in process mode the request rings carry
+    int16/int8 payloads plus per-sample scales instead of float64.
     """
 
     workers: int = 2
@@ -132,8 +128,7 @@ class ServerConfig:
     default_deadline_ms: Optional[float] = None
     service_time: Optional[Callable[[int], float]] = None
     worker_mode: str = "thread"
-    arena_trim_bytes: Optional[int] = None
-    compiled: bool = False
+    compiled: bool = True
     warmup: bool = True
     quantized_bits: Optional[int] = None
 
@@ -159,8 +154,9 @@ class ServerConfig:
                 "process workers are forked from the server, and this "
                 "platform has no 'fork' start method; use "
                 "worker_mode='thread'")
-        if self.arena_trim_bytes is not None and self.arena_trim_bytes < 0:
-            raise ValueError("arena_trim_bytes must be >= 0")
+        if not self.compiled:
+            raise ValueError("workers always run compiled programs; "
+                             "compiled=False is not supported")
         if self.quantized_bits is not None:
             if not 2 <= self.quantized_bits <= 16:
                 raise ValueError("quantized_bits must be in [2, 16]")
@@ -174,7 +170,8 @@ class ServerStats:
     are end-to-end (submit to completion) over *completed* requests,
     merged from the per-worker histogram replicas — across threads in
     thread mode, across processes (via shared-memory state vectors) in
-    process mode.
+    process mode.  ``arena["held_bytes"]`` sums the static blocks the
+    workers had bound at their last snapshot.
     """
 
     accepted: int
@@ -240,8 +237,8 @@ _SENTINEL = None  # queue poison pill; one per consumer at shutdown
 class _Worker:
     """One thread-pool member: its runtime and the last snapshot it published.
 
-    Only the worker thread touches the runtime (its arena is
-    unlocked); ``Server.stats()`` reads ``snapshot``, swapped under
+    Only the worker thread touches the runtime (its static block is
+    thread-local); ``Server.stats()`` reads ``snapshot``, swapped under
     ``lock`` after warm-up and after each batch (``None`` until then).
     """
 
@@ -260,39 +257,33 @@ class _Worker:
 class Server:
     """Dynamic-batching inference server over an :class:`InferencePlan`.
 
-    Use as a context manager (``with Server(plan) as srv:``) or call
-    :meth:`start` / :meth:`shutdown` explicitly.  Requests are single
-    images shaped ``(C, H, W)``; responses are that request's slice of
-    the batched plan output — bit-identical to running the plan on the
-    single-image batch directly, in both worker modes.
+    Use as a context manager (``with Server(plan, input_shape=shape) as
+    srv:``) or call :meth:`start` / :meth:`shutdown` explicitly; the
+    per-sample ``input_shape`` is required (:meth:`for_network` passes
+    it).  Requests are single images shaped ``(C, H, W)``; responses
+    are that request's slice of the batched output — bit-identical to
+    running the plan's compiled program on the single-image batch
+    directly, in both worker modes.
     """
 
     def __init__(self, plan: InferencePlan,
                  config: Optional[ServerConfig] = None,
                  input_shape: Optional[Tuple[int, int, int]] = None,
                  name: str = "server") -> None:
+        if input_shape is None:
+            raise ValueError(
+                "workers run programs compiled for one input shape; "
+                "pass input_shape= (Server.for_network does)")
         self.config = config or ServerConfig()
         self.name = name
-        self.input_shape = tuple(input_shape) if input_shape else None
+        self.input_shape = tuple(input_shape)
         self._plan = plan
         self._queue: "queue.Queue[Optional[_WorkItem]]" = queue.Queue(
             maxsize=self.config.queue_depth)
-        if self.config.compiled and self.input_shape is None:
-            raise ValueError(
-                "compiled mode specializes programs for the input shape; "
-                "pass input_shape= (Server.for_network does) when "
-                "compiled=True")
-        if self.config.worker_mode == "process":
-            if self.input_shape is None:
-                raise ValueError(
-                    "process mode sizes its shared-memory rings from the "
-                    "input shape; pass input_shape= (Server.for_network "
-                    "does) when worker_mode='process'")
         # One shared (quantized, compiled) lowering of the plan; worker
-        # clones — threads here, forked processes at start() — share its
-        # weights and immutable programs and add only a private arena
-        # each.  It serves no batch itself, so forking copies no
-        # arena or compiled binding.
+        # clones — threads here, forked processes at start() — share
+        # its immutable programs and bind one static block each.  It
+        # serves no batch itself, so forking copies no block.
         self._runtime = WorkerRuntime(plan, self.config, self.input_shape)
         self._workers: List[_Worker] = []
         if self.config.worker_mode == "thread":
@@ -363,9 +354,8 @@ class Server:
 
     def _start_process_pool(self) -> None:
         # One probe run pins the output shape the response ring must
-        # hold.  It runs on a throwaway clone of the plan, so the
-        # runtime the workers fork (which may be the plan itself) has
-        # no scratch to copy.
+        # hold.  It runs on a throwaway clone of the interpreted plan,
+        # so the runtime the workers fork binds no block here.
         probe = self._plan.clone().run(
             np.zeros((1,) + self.input_shape, dtype=np.float64))
         output_shape = tuple(probe.shape[1:])
@@ -498,7 +488,7 @@ class Server:
         if x.ndim != 3:
             raise ValueError(
                 f"requests are single images (C, H, W); got shape {x.shape}")
-        if self.input_shape is not None and x.shape != self.input_shape:
+        if x.shape != self.input_shape:
             raise ValueError(
                 f"request shape {x.shape} does not match model input "
                 f"{self.input_shape}")
@@ -586,7 +576,7 @@ class Server:
         # resolved future already sees this batch counted.
         worker.publish()
         # Hand each caller its own copy so responses never alias the
-        # batch buffer (or each other) once the arena recycles.
+        # batch output (or each other).
         for i, item in enumerate(batch):
             item.response._complete(out[i].copy())
         obs.count("serve.completed", len(batch))
@@ -607,9 +597,6 @@ class Server:
                 if stop:
                     return
         finally:
-            # Release recycled activation buffers; the counters survive
-            # in the final snapshot for post-mortem stats.
-            worker.runtime.executor.arena.clear()
             worker.publish()
 
     # -- the process-mode parent threads -----------------------------------
@@ -777,7 +764,7 @@ class Server:
                     batch_size_hist[size] = (
                         batch_size_hist.get(size, 0) + int(count))
             latency.merge_state(snap["latency_state"])
-        arena = BufferArena.merge_stats(snap["arena"] for snap in snapshots)
+        arena = {"held_bytes": sum(snap["held_bytes"] for snap in snapshots)}
         with self._lock:
             expired += self._queue_expired
             failed += self._parent_failed

@@ -3,13 +3,15 @@
 Covers the static first-fit allocator, zoo-wide equivalence of the
 compiled executor against the interpreted plan (≤1e-12) and the looped
 ``forward_reference`` oracle at batch 1 and 4, kernel-strategy
-selection (pointwise / dw-gemm / write-through joins),
-batch-specialization fallback + autocompile (one fallback counter for
-both numeric domains), per-thread static arenas, per-step spans for
-float and integer programs, and the no-arena-traffic hot-path
+selection (pointwise / dw-gemm / write-through joins), batch
+specialization (unseen batch sizes compile on first use, a wrong input
+shape raises through both entry points), one static block per thread
+shared by every batch program in both numeric domains, per-step spans
+for float and integer programs, and the no-arena-traffic hot-path
 guarantee.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -112,7 +114,7 @@ class TestZooCompiledEquivalence:
         assert np.max(np.abs(out - interpreted)) <= 1e-12
         oracle = looped_reference_forward(net, x)
         np.testing.assert_allclose(out, oracle, atol=1e-6)
-        assert compiled.fallbacks == 0
+        assert compiled.batch_sizes == (batch,)
 
 
 class TestCompileTimeShapeChecks:
@@ -204,41 +206,32 @@ class TestKernelStrategies:
 
 
 class TestBatchSpecialization:
-    def test_unseen_batch_falls_back_to_interpreter(self):
-        net = _branchy_net()
-        plan = net.inference_plan()
-        compiled = CompiledPlan(plan, _input_shape(net), batch_sizes=(1,))
-        x = RNG.normal(size=(3,) + _input_shape(net))
-        expected = net.inference_plan().run(x)
-        tracer = obs.enable()
-        try:
-            out = compiled.run(x)
-        finally:
-            obs.disable()
-        np.testing.assert_array_equal(out, expected)
-        assert compiled.fallbacks == 1
-        assert compiled.batch_sizes == (1,)  # nothing new compiled
-        assert tracer.counters["infer.compiled.fallback"] == 1
-
-    def test_wrong_shape_and_dtype_fall_back(self):
-        net = _branchy_net()
-        compiled = CompiledPlan(net.inference_plan(), _input_shape(net))
-        bad_shape = RNG.normal(size=(1, 3, 6, 6))
-        bad_dtype = RNG.normal(size=(1,) + _input_shape(net)).astype(
-            np.float32)
-        compiled.run(bad_shape)
-        compiled.run(bad_dtype)
-        assert compiled.fallbacks == 2
-
     def test_autocompile_compiles_on_first_use(self):
         net = _branchy_net()
         compiled = CompiledPlan(net.inference_plan(), _input_shape(net),
-                                batch_sizes=(1,), autocompile=True)
-        x = RNG.normal(size=(2,) + _input_shape(net))
-        out = compiled.run(x)
-        assert compiled.fallbacks == 0
-        assert compiled.batch_sizes == (1, 2)
+                                batch_sizes=(1,))
+        x = RNG.normal(size=(3,) + _input_shape(net))
+        with obs.tracing() as tracer:
+            out = compiled.run(x)
+            compiled.run(x)  # compiled once, not per run
         np.testing.assert_array_equal(out, net.inference_plan().run(x))
+        assert compiled.batch_sizes == (1, 3)
+        compiles = [s for s in tracer.spans if s.name == "infer.compile"]
+        assert [s.meta["batch"] for s in compiles] == [3]
+
+    def test_wrong_shape_raises_and_other_dtypes_cast(self):
+        net = _branchy_net()
+        compiled = CompiledPlan(net.inference_plan(), _input_shape(net))
+        for bad in (RNG.normal(size=(1, 3, 6, 6)),
+                    RNG.normal(size=_input_shape(net))):
+            with pytest.raises(ValueError, match=(
+                    r"expected input shape \(N,\) \+ \(3, 12, 12\), got")):
+                compiled.run(bad)
+        assert compiled.batch_sizes == (1,)
+        x = RNG.normal(size=(1,) + _input_shape(net))
+        np.testing.assert_array_equal(
+            compiled.run(x.astype(np.float32)),
+            compiled.run(x.astype(np.float32).astype(np.float64)))
 
     def test_batch4_rows_match_batch1_runs(self):
         net = _branchy_net()
@@ -289,11 +282,16 @@ class TestThreadSafety:
     ROUNDS = 10
 
     def test_one_program_from_8_threads_via_private_arenas(self):
+        """Threads share one plan: batch sizes compile on first use
+        under contention, each thread runs in its own block, and no
+        run goes uncounted."""
         net = _branchy_net()
-        compiled = compile_plan(net.inference_plan(), _input_shape(net))
-        xs = [np.random.default_rng(s).normal(size=(1,) + _input_shape(net))
+        shape = _input_shape(net)
+        compiled = compile_plan(net.inference_plan(), shape)
+        xs = [np.random.default_rng(s).normal(size=(s + 1,) + shape)
               for s in range(4)]
-        expected = [compiled.run(x).copy() for x in xs]
+        reference = compile_plan(net.inference_plan(), shape)
+        expected = [reference.run(x) for x in xs]
         errors = []
 
         def worker(tid):
@@ -307,24 +305,101 @@ class TestThreadSafety:
 
         threads = [threading.Thread(target=worker, args=(tid,))
                    for tid in range(self.THREADS)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors, errors[0]
-        # Main thread + each worker bound its own static arena.
-        assert compiled.program(1).bound_replicas >= self.THREADS + 1
+        assert compiled.batch_sizes == (1, 2, 3, 4)
+        assert compiled.stats().runs == self.THREADS * self.ROUNDS
+        # Every worker thread bound every program in its own block.
+        for batch in compiled.batch_sizes:
+            assert compiled.program(batch).bound_replicas >= self.THREADS
 
-    def test_clone_shares_programs_but_not_fallback_plan(self):
-        net = _branchy_net()
-        compiled = CompiledPlan(net.inference_plan(), _input_shape(net))
-        twin = compiled.clone()
-        assert twin.program(1) is compiled.program(1)
-        assert twin.plan is not compiled.plan
-        x = RNG.normal(size=(2,) + _input_shape(net))  # uncompiled batch
-        np.testing.assert_array_equal(twin.run(x), compiled.run(x))
-        assert twin.fallbacks == 1
-        assert compiled.fallbacks == 1
+
+def _shared_block_net() -> GraphNetwork:
+    """Depthwise, padded max-pool, concat and add: padded borders, join
+    slices and im2col scratch are all regions a program refills."""
+    b = NetworkBuilder("shared-block", TensorShape(3, 10, 10))
+    b.conv("stem", 8, kernel_size=3, padding=1)
+    b.depthwise_conv("dw", kernel_size=3, padding=1)
+    b.conv("pw", 8, kernel_size=1)
+    b.add("res", ["stem", "pw"])
+    b.pool("mp", kernel_size=3, stride=1, padding=1)
+    b.conv("right", 4, kernel_size=3, padding=1, after="res")
+    b.concat("cat", ["mp", "right"])
+    b.pool("down", kernel_size=2, stride=2)
+    b.global_avg_pool("gap")
+    b.dense("fc", 5, activation="identity")
+    net = GraphNetwork(b.build(), rng=np.random.default_rng(4),
+                       batch_norm=True)
+    _randomize_running_stats(net)
+    return net.eval()
+
+
+class TestSharedBlock:
+    """Every batch program a thread runs lives in that thread's one
+    static block, sized for the largest compiled program."""
+
+    BATCHES = (8, 1, 3, 8, 1)
+
+    @pytest.mark.parametrize("bits", [None, 16], ids=["float", "int16"])
+    def test_batch_programs_share_one_block_per_thread(self, bits):
+        net = _shared_block_net()
+        plan = net.inference_plan()
+        if bits is not None:
+            plan = plan.quantize(bits)
+        shape = _input_shape(net)
+        rng = np.random.default_rng(9)
+        xs = [rng.normal(size=(b,) + shape) for b in self.BATCHES]
+        compiled = compile_plan(plan, shape)
+        seen = {}
+
+        def worker():
+            with obs.tracing() as tracer:
+                seen["outs"] = [compiled.run(x) for x in xs]
+            seen["blocks"] = tracer.counters["infer.compiled.block"]
+            seen["block_bytes"] = compiled.block_bytes()
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join()
+        assert compiled.batch_sizes == (1, 3, 8)
+        for x, out in zip(xs, seen["outs"]):
+            fresh = compile_plan(plan, shape, batch_sizes=(len(x),))
+            np.testing.assert_array_equal(out, fresh.run(x))
+        assert seen["blocks"] == 1
+        assert seen["block_bytes"] == max(
+            compiled.static_arena_bytes(b) for b in compiled.batch_sizes)
+        assert compiled.block_bytes() == 0  # this thread bound nothing
+
+    def test_static_blocks_grow_with_the_batch(self, zoo_network):
+        """The premise of one block per thread: the largest batch's
+        program needs the largest block, in both numeric domains."""
+        plan = zoo_network.inference_plan()
+        for p in (plan, plan.quantize(16)):
+            compiled = compile_plan(p, _input_shape(zoo_network),
+                                    batch_sizes=(1, 2, 3))
+            sizes = [compiled.static_arena_bytes(b) for b in (1, 2, 3)]
+            assert sizes == sorted(set(sizes)), sizes
+
+    def test_larger_program_compiled_later_replaces_the_block(self):
+        net = _shared_block_net()
+        shape = _input_shape(net)
+        compiled = compile_plan(net.inference_plan(), shape)
+        x1 = RNG.normal(size=(1,) + shape)
+        first = compiled.run(x1)
+        assert compiled.block_bytes() == compiled.static_arena_bytes(1)
+        compiled.run(RNG.normal(size=(4,) + shape))
+        assert compiled.block_bytes() == compiled.static_arena_bytes(4)
+        # Batch 1 binds again into the new block, with the same answer.
+        np.testing.assert_array_equal(compiled.run(x1), first)
 
 
 class TestStatsAndObs:
@@ -364,21 +439,18 @@ class TestStatsAndObs:
             assert len(steps) >= len(plan.steps) // 2
             assert set(steps) <= {step.name for step in plan.steps}
 
-    def test_fallback_counter_matches_stats_across_entry_points(self):
+    def test_wrong_shape_raises_through_both_entry_points(self):
         net = _branchy_net()
         qplan = net.inference_plan().quantize(16)
         compiled = compile_plan(qplan, _input_shape(net), batch_sizes=(1,))
         x2 = RNG.normal(size=(2,) + _input_shape(net))
         q2, s2 = quantize_batch(x2, 16)
-        tracer = obs.enable()
-        try:
-            compiled.run(x2)                              # unseen batch
-            compiled.run(x2.astype(np.float32))           # wrong dtype
-            compiled.run_quantized(q2, s2)                # unseen batch
-            compiled.run_quantized(q2[:, :, :4], s2)      # wrong shape
-            compiled.run(x2[:1])                          # compiled
-        finally:
-            obs.disable()
-        assert compiled.stats().fallbacks == 4
-        assert (compiled.stats().fallbacks
-                == tracer.counters["infer.compiled.fallback"])
+        np.testing.assert_array_equal(compiled.run(x2), qplan.run(x2))
+        np.testing.assert_array_equal(compiled.run_quantized(q2, s2),
+                                      qplan.run(x2))
+        with pytest.raises(ValueError, match="expected input shape"):
+            compiled.run(x2[:, :, :4])
+        with pytest.raises(ValueError, match="expected input shape"):
+            compiled.run_quantized(q2[:, :, :4], s2)
+        assert compiled.stats().compiled_batches == (1, 2)
+        assert compiled.stats().runs == 2

@@ -484,50 +484,3 @@ class TestEvalReentrancy:
         x = RNG.normal(size=(2, 3, 12, 12))
         np.testing.assert_array_equal(plan.run(x), twin.run(x))
         assert twin.arena.misses > 0  # the clone used its own arena
-
-
-class TestArenaTrim:
-    def test_trim_evicts_largest_buffers_first(self):
-        arena = BufferArena()
-        big = arena.acquire((1024,), np.float64)     # 8 KiB
-        small = arena.acquire((16,), np.float64)     # 128 B
-        arena.release(big)
-        arena.release(small)
-        evicted = arena.trim(small.nbytes)
-        assert evicted == 1
-        assert arena.held_bytes == small.nbytes
-        assert arena.trims == 1
-        # The small bucket survived and still recycles.
-        again = arena.acquire((16,), np.float64)
-        assert again is small
-        assert arena.hits == 1
-
-    def test_trim_zero_releases_everything(self):
-        arena = BufferArena()
-        buffers = [arena.acquire(shape, np.float64)
-                   for shape in ((64,), (32,), (64,))]
-        for buffer in buffers:
-            arena.release(buffer)
-        assert arena.trim(0) == 3
-        assert arena.held_bytes == 0
-
-    def test_trim_is_noop_under_the_watermark(self):
-        arena = BufferArena()
-        arena.release(arena.acquire((8,), np.float64))
-        assert arena.trim(1 << 20) == 0
-        assert arena.trims == 0
-        assert arena.held_bytes == 64
-
-    def test_trim_rejects_negative_cap(self):
-        arena = BufferArena()
-        with pytest.raises(ValueError):
-            arena.trim(-1)
-
-    def test_trim_surfaces_in_stats_and_merge(self):
-        arena = BufferArena()
-        arena.release(arena.acquire((256,), np.float64))
-        arena.trim(0)
-        stats = arena.stats()
-        assert stats["trims"] == 1
-        merged = BufferArena.merge_stats([stats, stats])
-        assert merged["trims"] == 2

@@ -342,7 +342,7 @@ class TestCompiledQuantized:
                                           batch_sizes=(3,))
         xs = images(3)
         np.testing.assert_array_equal(compiled.run(xs), qplan.run(xs))
-        assert compiled.fallbacks == 0
+        assert compiled.batch_sizes == (3,)
 
     def test_static_arena_smaller_than_float(self, zoo_network):
         net = zoo_network
@@ -364,19 +364,20 @@ class TestCompiledQuantized:
         np.testing.assert_array_equal(compiled.run_quantized(q, scales),
                                       qplan.run(xs))
 
-    def test_fallback_and_autocompile(self):
+    def test_unseen_batch_compiles_and_wrong_shape_raises(self):
         net = make_net()
         qplan = net.inference_plan().quantize(16)
         compiled = compile_quantized_plan(qplan, (3, 8, 8), batch_sizes=(2,))
-        # Unplanned batch size falls back to the interpreted twin...
+        # An unplanned batch size compiles on first use...
         np.testing.assert_array_equal(compiled.run(images(5)),
                                       qplan.run(images(5)))
-        assert compiled.batch_sizes == (2,)
-        # ...while autocompile grows the program set instead.
-        auto = compile_quantized_plan(qplan, (3, 8, 8), batch_sizes=(2,),
-                                      autocompile=True)
-        auto.run(images(5))
-        assert 5 in auto.batch_sizes
+        assert compiled.batch_sizes == (2, 5)
+        # ...and an input of another per-sample shape is refused.
+        q, scales = quantize_batch(images(2), 16)
+        with pytest.raises(ValueError, match="expected input shape"):
+            compiled.run(images(2)[:, :2])
+        with pytest.raises(ValueError, match="expected input shape"):
+            compiled.run_quantized(q[:, :, :4], scales)
 
     def test_int8_compiled(self):
         net = make_net()
@@ -384,15 +385,6 @@ class TestCompiledQuantized:
         qplan = net.inference_plan().quantize(8)
         compiled = compile_quantized_plan(qplan, (3, 8, 8), batch_sizes=(4,))
         np.testing.assert_array_equal(compiled.run(xs), qplan.run(xs))
-
-    def test_clone_shares_programs(self):
-        net = make_net()
-        qplan = net.inference_plan().quantize(16)
-        compiled = compile_quantized_plan(qplan, (3, 8, 8), batch_sizes=(2,))
-        clone = compiled.clone()
-        assert clone._programs is compiled._programs
-        xs = images(2)
-        np.testing.assert_array_equal(clone.run(xs), compiled.run(xs))
 
 
 # -- quantized serving -------------------------------------------------------

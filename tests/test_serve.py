@@ -3,8 +3,9 @@
 Covers response correctness (bit-identical to direct plan execution),
 admission control (`QueueFull`), deadline expiry, graceful drain-then-
 shutdown (including 100 randomized start/stop cycles with zero dropped
-requests), stats aggregation, both load-generator loops, the
-simulator-paced service-time model, and the `repro-serve` CLI.
+requests), stats aggregation (including the workers' static blocks),
+both load-generator loops, the simulator-paced service-time model, and
+the `repro-serve` CLI.
 """
 
 import threading
@@ -208,19 +209,9 @@ class TestDeadlines:
             ServerConfig(default_deadline_ms=0.0)
         with pytest.raises(ValueError):
             ServerConfig(worker_mode="coroutine")
-        with pytest.raises(ValueError):
-            ServerConfig(arena_trim_bytes=-1)
-
-    def test_thread_mode_arena_trim_caps_held_bytes(self):
-        net = make_net()
-        cap = 64 * 1024
-        config = ServerConfig(workers=1, max_batch_size=4,
-                              arena_trim_bytes=cap)
-        with Server.for_network(net, config) as server:
-            for x in images(8):
-                server.infer(x, timeout=30)
-            stats = server.stats()
-        assert stats.arena["held_bytes"] <= cap
+        with pytest.raises(ValueError, match="compiled"):
+            ServerConfig(compiled=False)
+        assert ServerConfig(compiled=True).compiled
 
 
 class TestShutdown:
@@ -324,11 +315,16 @@ class TestStats:
         assert stats.mean_batch_size >= 1.0
 
     def test_arena_counters_aggregate_across_worker_replicas(self):
-        stats = self._run()
-        # Each worker's private arena ran real traffic; the merge must
-        # show it (misses on first batches, hits on repeats).
-        assert stats.arena["misses"] > 0
-        assert stats.arena["hits"] + stats.arena["misses"] > 0
+        # Each worker binds one static block, sized for its largest
+        # compiled batch; the merge sums the workers' blocks.
+        net = make_net()
+        config = ServerConfig(workers=2, max_batch_size=4, max_wait_ms=2.0,
+                              queue_depth=64)
+        with Server.for_network(net, config) as server:
+            for f in [server.submit(x) for x in images(20)]:
+                f.result(timeout=30)
+        block = server._runtime.executor.static_arena_bytes(4)
+        assert server.stats().arena == {"held_bytes": 2 * block}
 
     def test_as_dict_is_json_ready(self):
         import json
@@ -355,33 +351,24 @@ class TestStats:
 
 class TestStatsRace:
     def test_stats_reads_no_worker_arena_from_caller(self, monkeypatch):
-        """Worker arenas are unlocked: only their own thread may read
-        them, even while ``stats()`` is polled and trim runs."""
-        from repro.nn.infer import BufferArena
+        """A worker's static block is thread-local: only the worker's
+        own thread may read its size, even while ``stats()`` is
+        polled."""
+        from repro.nn.compile import CompiledPlan
 
-        readers = {}
+        readers = set()
         guard = threading.Lock()
-        stats_fn = BufferArena.stats
-        held_fn = BufferArena.held_bytes.fget
+        block_bytes = CompiledPlan.block_bytes
 
-        def record(arena):
+        def record(executor):
             with guard:
-                readers.setdefault(id(arena), set()).add(
-                    threading.current_thread().name)
+                readers.add(threading.current_thread().name)
+            return block_bytes(executor)
 
-        def stats(arena):
-            record(arena)
-            return stats_fn(arena)
-
-        def held_bytes(arena):
-            record(arena)
-            return held_fn(arena)
-
-        monkeypatch.setattr(BufferArena, "stats", stats)
-        monkeypatch.setattr(BufferArena, "held_bytes", property(held_bytes))
+        monkeypatch.setattr(CompiledPlan, "block_bytes", record)
         net = make_net()
         config = ServerConfig(workers=2, max_batch_size=4, max_wait_ms=1.0,
-                              queue_depth=64, arena_trim_bytes=0)
+                              queue_depth=64)
         xs = images(4)
         polls = 0
         with Server.for_network(net, config, name="race") as server:
@@ -395,11 +382,8 @@ class TestStatsRace:
             stats = server.stats()
         assert stats.completed == 20
         assert polls > 0
-        worker_arenas = [names for names in readers.values()
-                         if any(n.startswith("race-worker-") for n in names)]
-        assert worker_arenas, "trim never read a worker arena"
-        for names in worker_arenas:
-            assert all(n.startswith("race-worker-") for n in names), names
+        assert readers, "no worker published its block"
+        assert all(n.startswith("race-worker-") for n in readers), readers
 
 
 class TestLoadGenerator:
@@ -597,6 +581,10 @@ class TestCLI:
         document = json.loads(out.read_text())
         assert document["load"]["sent"] == 4
         assert document["server"]["accepted"] == 4
+        assert document["load"]["completed"] == 4
+        # The one worker's static block is in the stats and the summary.
+        assert document["server"]["arena"]["held_bytes"] > 0
+        assert "static blocks held" in captured.out
 
     def test_cli_process_mode_open_loop(self, tmp_path, capsys):
         import json
@@ -617,13 +605,15 @@ class TestCLI:
 
 
 class TestCompiledServing:
-    """ServerConfig(compiled=True): workers run the AOT executor."""
+    """Workers run the AOT-compiled executor, one static block each."""
 
     def _wait_warmed(self, server, timeout=5.0):
         import time
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
-            if all(w.runtime.warmed for w in server._workers):
+            # A worker publishes its first snapshot right after warm-up.
+            if all(w.runtime.warmed and w.snapshot is not None
+                   for w in server._workers):
                 return
             time.sleep(0.005)
         raise AssertionError("workers never warmed")
@@ -632,8 +622,7 @@ class TestCompiledServing:
         net = make_net()
         reference_plan = net.inference_plan()
         xs = images(24)
-        config = ServerConfig(workers=2, max_batch_size=8, max_wait_ms=5.0,
-                              compiled=True)
+        config = ServerConfig(workers=2, max_batch_size=8, max_wait_ms=5.0)
         with Server.for_network(net, config) as server:
             futures = [server.submit(x) for x in xs]
             results = [f.result(timeout=30) for f in futures]
@@ -649,7 +638,7 @@ class TestCompiledServing:
         direct = compile_plan(net.inference_plan().quantize(16), (3, 8, 8))
         xs = images(12)
         config = ServerConfig(workers=2, max_batch_size=4, max_wait_ms=5.0,
-                              compiled=True, quantized_bits=16)
+                              quantized_bits=16)
         with Server.for_network(net, config) as server:
             executor = server._workers[0].runtime.executor
             assert executor.program(1).bits == 16
@@ -657,40 +646,40 @@ class TestCompiledServing:
                        for f in [server.submit(x) for x in xs]]
         for i, result in enumerate(results):
             np.testing.assert_array_equal(result, direct.run(xs[i:i + 1])[0])
-        assert direct.fallbacks == 0
 
     def test_warmup_binds_programs_before_first_request(self):
-        net = make_net()
-        config = ServerConfig(workers=2, max_batch_size=4, compiled=True)
-        with Server.for_network(net, config) as server:
-            self._wait_warmed(server)
-            # The warm-up dummy batch already bound every worker's
-            # batch-1 program (programs are shared across clones, so
-            # replicas accumulate on the one program object).
-            executor = server._workers[0].runtime.executor
-            assert executor.program(1).bound_replicas >= 2
-            out = server.infer(images(1)[0], timeout=30)
-        np.testing.assert_array_equal(
-            out, net.inference_plan().run(images(1)[:1])[0])
-
-    def test_warmup_also_covers_interpreted_workers(self):
         net = make_net()
         config = ServerConfig(workers=2, max_batch_size=4)
         with Server.for_network(net, config) as server:
             self._wait_warmed(server)
-            # Warm-up pre-faulted the arena: the first real request
-            # recycles the dummy batch's buffers instead of allocating.
-            server.infer(images(1)[0], timeout=30)
-            assert sum(w.runtime.executor.arena.hits
-                       for w in server._workers) > 0
+            # The warm-up dummy batch already bound every worker's
+            # batch-1 program (the workers share one executor, so
+            # replicas accumulate on the one program object) into a
+            # block sized for the largest compiled batch.
+            executor = server._workers[0].runtime.executor
+            assert executor.program(1).bound_replicas >= 2
+            assert server.stats().arena["held_bytes"] == (
+                2 * executor.static_arena_bytes(4))
+            out = server.infer(images(1)[0], timeout=30)
+        np.testing.assert_array_equal(
+            out, net.inference_plan().run(images(1)[:1])[0])
+
+    def test_workers_share_one_executor(self):
+        # Workers hold nothing private in the executor: one compiled
+        # plan serves them all, each thread in its own static block.
+        config = ServerConfig(workers=3)
+        with Server.for_network(make_net(), config) as server:
+            executors = {id(w.runtime.executor) for w in server._workers}
+            assert executors == {id(server._runtime.executor)}
 
     def test_warmup_disabled_leaves_workers_cold(self):
         import time
         net = make_net()
-        config = ServerConfig(workers=1, compiled=True, warmup=False)
+        config = ServerConfig(workers=1, warmup=False)
         with Server.for_network(net, config) as server:
             time.sleep(0.05)
             assert not any(w.runtime.warmed for w in server._workers)
+            assert server.stats().arena["held_bytes"] == 0
             out = server.infer(images(1)[0], timeout=30)
         np.testing.assert_array_equal(
             out, net.inference_plan().run(images(1)[:1])[0])
@@ -698,13 +687,11 @@ class TestCompiledServing:
     def test_compiled_without_input_shape_raises(self):
         net = make_net()
         with pytest.raises(ValueError):
-            Server(net.inference_plan(),
-                   ServerConfig(workers=1, compiled=True))
+            Server(net.inference_plan(), ServerConfig(workers=1))
 
     def test_odd_batch_sizes_autocompile_not_fallback(self):
         net = make_net()
-        config = ServerConfig(workers=1, max_batch_size=8, max_wait_ms=50.0,
-                              compiled=True)
+        config = ServerConfig(workers=1, max_batch_size=8, max_wait_ms=50.0)
         xs = images(3)
         with Server.for_network(net, config) as server:
             self._wait_warmed(server)
@@ -712,7 +699,6 @@ class TestCompiledServing:
             for f in futures:
                 f.result(timeout=30)
             worker = server._workers[0].runtime
-            assert worker.executor.fallbacks == 0
             assert 3 in worker.executor.batch_sizes
 
     def test_p99_first_batch_regression(self):
@@ -726,7 +712,7 @@ class TestCompiledServing:
         firsts, steady = [], []
         for _ in range(7):
             config = ServerConfig(workers=1, max_batch_size=2,
-                                  max_wait_ms=0.5, compiled=True)
+                                  max_wait_ms=0.5)
             with Server.for_network(net, config) as server:
                 self._wait_warmed(server)
                 began = time.perf_counter()
@@ -743,14 +729,3 @@ class TestCompiledServing:
         assert p99_first <= median_steady * 20 + 0.05, (
             f"first-batch p99 {p99_first * 1e3:.2f}ms vs steady median "
             f"{median_steady * 1e3:.2f}ms")
-
-    def test_cli_compiled_flag(self, tmp_path, capsys):
-        import json
-        out = tmp_path / "serve_compiled.json"
-        code = main(["--model", "tiny_darknet", "--clients", "2",
-                     "--requests", "4", "--duration", "30",
-                     "--workers", "1", "--max-batch-size", "2",
-                     "--compiled", "--json", str(out)])
-        assert code == 0
-        document = json.loads(out.read_text())
-        assert document["load"]["completed"] == 4

@@ -6,7 +6,8 @@ process mode), cross-process response bit-identity against direct plan
 execution, parent-stamped deadlines expiring inside worker processes
 (the monotonic-clock contract), drain-then-shutdown, worker-crash
 containment (:class:`~repro.serve.WorkerCrashed`), cross-process stats
-merging — and the leak contract: zero orphaned ``/dev/shm`` segments
+merging, one static block per worker whatever batch sizes it serves
+(in both worker modes) — and the leak contract: zero orphaned ``/dev/shm`` segments
 after every shutdown, including 100 randomized start/stop cycles and a
 worker killed mid-batch.
 """
@@ -201,30 +202,20 @@ class TestProcessServer:
             futures = [server.submit(x) for x in xs]
             for future in futures:
                 future.result(timeout=30)
-            stats = server.stats()
+        stats = server.stats()
         assert stats.completed == len(xs)
         assert sum(size * count for size, count
                    in stats.batch_size_hist.items()) == len(xs)
         assert stats.latency_ms["count"] == len(xs)
         assert stats.latency_ms["p99"] >= stats.latency_ms["p50"] > 0
-        assert stats.arena["misses"] > 0
+        block = server._runtime.executor.static_arena_bytes(4)
+        assert stats.arena == {"held_bytes": 2 * block}
         assert stats.worker_mode == "process"
 
     def test_process_mode_requires_input_shape(self):
         net = make_net()
         with pytest.raises(ValueError, match="input_shape"):
             Server(net.inference_plan(), proc_config())
-
-    def test_arena_trim_bounds_worker_held_bytes(self):
-        net = make_net()
-        cap = 64 * 1024
-        config = proc_config(workers=1, arena_trim_bytes=cap)
-        with Server.for_network(net, config) as server:
-            for x in images(8):
-                server.infer(x, timeout=30)
-            stats = server.stats()
-        assert stats.arena["held_bytes"] <= cap
-        assert stats.arena["trims"] >= 0
 
     def test_randomized_start_stop_cycles_leak_nothing(self):
         # The acceptance bar: 100 start/stop cycles with randomized
@@ -259,7 +250,7 @@ class TestForkedRuntime:
         # A long batching window makes the batch sizes deterministic:
         # a lone request rides alone, a burst fills max_batch_size.
         config = proc_config(workers=2, max_batch_size=4, max_wait_ms=400.0,
-                             compiled=True, quantized_bits=16)
+                             quantized_bits=16)
         server = Server.for_network(net, config)
 
         def refuse(*args, **kwargs):
@@ -292,10 +283,29 @@ class TestForkedRuntime:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(WorkerRuntime, "__init__", counting)
-        config = proc_config(worker_mode=mode, compiled=True)
+        config = proc_config(worker_mode=mode)
         with Server.for_network(make_net(), config) as server:
             server.infer(images(1)[0], timeout=60)
         assert len(built) == 1
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_one_block_per_worker_whatever_the_batch_size(self, mode):
+        # A long batching window makes each burst exactly one batch, so
+        # the worker meets every batch size from 1 to max_batch_size.
+        net = make_net()
+        config = proc_config(worker_mode=mode, workers=1, max_batch_size=4,
+                             max_wait_ms=200.0)
+        xs = images(config.max_batch_size)
+        with Server.for_network(net, config) as server:
+            for size in range(1, config.max_batch_size + 1):
+                futures = [server.submit(x) for x in xs[:size]]
+                for future in futures:
+                    future.result(timeout=60)
+            stats = server.stats()
+        assert stats.batch_size_hist == {1: 1, 2: 1, 3: 1, 4: 1}
+        executor = server._runtime.executor
+        assert stats.arena == {
+            "held_bytes": executor.static_arena_bytes(config.max_batch_size)}
 
     def test_process_mode_without_fork_fails_clearly(self, monkeypatch):
         monkeypatch.setattr(multiprocessing, "get_all_start_methods",
@@ -306,16 +316,15 @@ class TestForkedRuntime:
 
 
 class TestCompiledProcessMode:
-    """compiled=True with process workers: each forked worker runs a
-    clone of the parent's compiled runtime; responses stay
-    bit-identical and shutdown leaks nothing (the autouse fixture
-    checks /dev/shm)."""
+    """Process workers: each forked worker runs a clone of the parent's
+    compiled runtime; responses stay bit-identical and shutdown leaks
+    nothing (the autouse fixture checks /dev/shm)."""
 
     def test_compiled_responses_bit_identical_to_direct_plan(self):
         net = make_net()
         reference_plan = net.inference_plan()
         xs = images(16)
-        with Server.for_network(net, proc_config(compiled=True)) as server:
+        with Server.for_network(net, proc_config()) as server:
             futures = [server.submit(x) for x in xs]
             results = [f.result(timeout=60) for f in futures]
         for i, result in enumerate(results):
@@ -325,23 +334,21 @@ class TestCompiledProcessMode:
     def test_compiled_matches_thread_mode_bitwise(self):
         net = make_net()
         x = images(1)[0]
-        with Server.for_network(
-                net, proc_config(compiled=True, workers=1)) as server:
+        with Server.for_network(net, proc_config(workers=1)) as server:
             from_process = server.infer(x, timeout=60)
-        thread_config = ServerConfig(workers=1, max_batch_size=4,
-                                     compiled=True)
+        thread_config = ServerConfig(workers=1, max_batch_size=4)
         with Server.for_network(net, thread_config) as server:
             from_thread = server.infer(x, timeout=60)
         np.testing.assert_array_equal(from_process, from_thread)
 
     def test_compiled_quantized_rings_carry_levels(self):
-        # quantized_bits + compiled: rings carry int16 levels into each
-        # worker's compiled integer program (run_quantized).
+        # quantized_bits: rings carry int16 levels into each worker's
+        # compiled integer program (run_quantized).
         from repro.nn import compile_plan
         net = make_net()
         direct = compile_plan(net.inference_plan().quantize(16), (3, 8, 8))
         xs = images(8)
-        config = proc_config(workers=1, compiled=True, quantized_bits=16)
+        config = proc_config(workers=1, quantized_bits=16)
         with Server.for_network(net, config) as server:
             ring = server._procpool._req_rings[0]
             assert ring.handle.payload_dtype == "<i2"
@@ -349,11 +356,10 @@ class TestCompiledProcessMode:
                        for f in [server.submit(x) for x in xs]]
         for i, result in enumerate(results):
             np.testing.assert_array_equal(result, direct.run(xs[i:i + 1])[0])
-        assert direct.fallbacks == 0
 
     def test_compiled_warmup_disabled_still_serves(self):
         net = make_net()
-        config = proc_config(compiled=True, workers=1, warmup=False)
+        config = proc_config(workers=1, warmup=False)
         with Server.for_network(net, config) as server:
             out = server.infer(images(1)[0], timeout=60)
         np.testing.assert_array_equal(
