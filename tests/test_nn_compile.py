@@ -212,12 +212,24 @@ class TestBatchSpecialization:
                                 batch_sizes=(1,))
         x = RNG.normal(size=(3,) + _input_shape(net))
         with obs.tracing() as tracer:
-            out = compiled.run(x)
+            compiled.run(x)
             compiled.run(x)  # compiled once, not per run
-        np.testing.assert_array_equal(out, net.inference_plan().run(x))
         assert compiled.batch_sizes == (1, 3)
         compiles = [s for s in tracer.spans if s.name == "infer.compile"]
         assert [s.meta["batch"] for s in compiles] == [3]
+
+    def test_unseen_batch_runs_compiled_not_interpreted(self):
+        # An unseen batch size gets its own program; the interpreted
+        # plan is never run, so its arena sees no traffic, and the
+        # answer is still the interpreter's, bit for bit.
+        net = _branchy_net()
+        plan = net.inference_plan()
+        compiled = CompiledPlan(plan, _input_shape(net), batch_sizes=(1,))
+        x = RNG.normal(size=(3,) + _input_shape(net))
+        before = plan.arena.stats()
+        out = compiled.run(x)
+        assert plan.arena.stats() == before
+        np.testing.assert_array_equal(out, net.inference_plan().run(x))
 
     def test_wrong_shape_raises_and_other_dtypes_cast(self):
         net = _branchy_net()

@@ -582,9 +582,6 @@ class TestCLI:
         assert document["load"]["sent"] == 4
         assert document["server"]["accepted"] == 4
         assert document["load"]["completed"] == 4
-        # The one worker's static block is in the stats and the summary.
-        assert document["server"]["arena"]["held_bytes"] > 0
-        assert "static blocks held" in captured.out
 
     def test_cli_process_mode_open_loop(self, tmp_path, capsys):
         import json
@@ -658,11 +655,22 @@ class TestCompiledServing:
             # block sized for the largest compiled batch.
             executor = server._workers[0].runtime.executor
             assert executor.program(1).bound_replicas >= 2
-            assert server.stats().arena["held_bytes"] == (
-                2 * executor.static_arena_bytes(4))
             out = server.infer(images(1)[0], timeout=30)
         np.testing.assert_array_equal(
             out, net.inference_plan().run(images(1)[:1])[0])
+
+    def test_warmup_binds_one_block_per_worker(self):
+        net = make_net()
+        config = ServerConfig(workers=2, max_batch_size=4)
+        with Server.for_network(net, config) as server:
+            self._wait_warmed(server)
+            # Each worker's block is sized for the largest compiled
+            # batch before the first request, which then binds nothing.
+            executor = server._workers[0].runtime.executor
+            block = executor.static_arena_bytes(4)
+            assert server.stats().arena["held_bytes"] == 2 * block
+            server.infer(images(1)[0], timeout=30)
+            assert server.stats().arena["held_bytes"] == 2 * block
 
     def test_workers_share_one_executor(self):
         # Workers hold nothing private in the executor: one compiled
@@ -688,6 +696,21 @@ class TestCompiledServing:
         net = make_net()
         with pytest.raises(ValueError):
             Server(net.inference_plan(), ServerConfig(workers=1))
+
+    def test_cli_reports_static_blocks(self, tmp_path, capsys):
+        import json
+        out = tmp_path / "serve_blocks.json"
+        code = main(["--model", "tiny_darknet", "--clients", "2",
+                     "--requests", "4", "--duration", "30",
+                     "--workers", "1", "--max-batch-size", "2",
+                     "--json", str(out)])
+        assert code == 0
+        captured = capsys.readouterr()
+        document = json.loads(out.read_text())
+        assert document["load"]["completed"] == 4
+        # The one worker's static block is in the stats and the summary.
+        assert document["server"]["arena"]["held_bytes"] > 0
+        assert "static blocks held" in captured.out
 
     def test_odd_batch_sizes_autocompile_not_fallback(self):
         net = make_net()
