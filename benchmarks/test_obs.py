@@ -59,7 +59,7 @@ def plain_simulate(simulator: AcceleratorSimulator, network,
     """
     layers = []
     for workload in workloads:
-        options, _, _ = simulator._options_counted(
+        options, _ = simulator._options_counted(
             workload, None, simulator._needed_dataflows(workload))
         layers.append(simulator._rebind(
             simulator._select(workload, options), workload))

@@ -1,18 +1,21 @@
-"""Design-space sweep benchmark: persistent cache and resume payoff.
+"""Design-space sweep benchmark: what the persistent store saves.
 
-The acceptance experiment for the million-point sweep machinery,
-written to ``BENCH_sweep.json`` at the repository root:
+The acceptance experiment for the resumable sweep machinery, written
+to ``BENCH_sweep.json`` at the repository root:
 
-* **cold vs warm** — the full Squeezelerator design space (every zoo
-  model x array sizes x RF sizes) swept into a fresh persistent cache
-  directory, then swept again by a brand-new engine over the same
-  directory.  The warm run deserializes instead of simulating — it is
-  also the resume check: a re-run over the same directory makes zero
-  layer lookups, i.e. re-simulates zero points (the killed-mid-sweep
-  contract is exercised in ``tests/test_core_sweep_process.py``); the
-  ≥10x speedup floor is asserted in the full configuration (the smoke
-  configuration asserts a ≥3x floor — fewer, cheaper points leave less
-  simulation time to win back).
+* **cold, then warm** — the full Squeezelerator design space (every zoo
+  model x array sizes x RF sizes) swept into a fresh store directory,
+  then swept again by a brand-new engine over the same directory.  The
+  warm run reads every point back instead of simulating it; it is also
+  the resume check: a re-run over the same directory makes zero layer
+  lookups, i.e. re-simulates zero points (the killed-mid-sweep contract
+  is exercised in ``tests/test_core_sweep_process.py``).
+* **warm over uncached** — the store's payoff is the simulation it
+  saves, so a warm pass is timed against an uncached pass
+  (``SweepEngine(use_cache=False)``) of the same jobs, one worker each,
+  the two interleaved (:func:`bench_timing.interleaved`); the ratio of
+  their best times must clear a floor (full and smoke configurations
+  each have their own, derived from repeated runs).
 * **bit identity** — warm, cold, and a from-scratch uncached sweep all
   produce identical points, field for field; thread and process mode
   agree on a subset.
@@ -38,6 +41,8 @@ from repro.core.sweep import SweepEngine
 from repro.core.tuner import design_space_jobs
 from repro.models import build_all
 
+from bench_timing import interleaved
+
 SMOKE = os.environ.get("SWEEP_SMOKE") == "1"
 _ROOT = Path(__file__).resolve().parent.parent
 #: Full runs refresh the tracked record at the repository root;
@@ -45,9 +50,13 @@ _ROOT = Path(__file__).resolve().parent.parent
 RESULTS_PATH = ((_ROOT / ".bench-smoke" if SMOKE else _ROOT)
                 / "BENCH_sweep.json")
 
-#: Warm-over-cold floor: full design space / CI smoke subset.
+#: Warm-over-uncached floor: full design space / CI smoke subset.  On
+#: a 2-vCPU host twelve runs each read 13.1-15.4x (full) and 6.5-8.9x
+#: (smoke); a warm pass forced to re-simulate reads 1.6-1.9x.
 FULL_SPEEDUP_FLOOR = 10.0
 SMOKE_SPEEDUP_FLOOR = 3.0
+#: Interleaved warm/uncached rounds behind the ratio.
+TIMING_REPEATS = 5
 
 if SMOKE:
     MODEL_NAMES = ["SqueezeNet v1.1", "SqueezeNext"]
@@ -72,26 +81,36 @@ def test_design_space_sweep_cache_and_resume():
                              rf_entries=RF_ENTRIES)
     cache_dir = Path(tempfile.mkdtemp(prefix="repro_sweep_"))
     try:
-        # -- cold: simulate everything into the persistent tier --------
+        # -- cold: simulate everything into the store -----------------
         start = time.perf_counter()
         with SweepEngine(cache_dir=cache_dir) as cold_engine:
             cold = cold_engine.run(jobs)
             cold_stats = cold_engine.cache_stats
         cold_s = time.perf_counter() - start
-        assert cold_stats.disk.writes == cold_stats.entries > 0
+        assert cold_stats.disk.writes == len(jobs)
 
         # -- warm: a new engine over the same directory ----------------
-        start = time.perf_counter()
         with SweepEngine(cache_dir=cache_dir) as warm_engine:
             frontier = streaming_sweep_frontier(warm_engine.run_iter(jobs))
             warm_stats = warm_engine.cache_stats
-        warm_s = time.perf_counter() - start
         assert warm_stats.lookups == 0, "warm run re-simulated a point"
-        assert warm_stats.disk.network_hits == len(jobs)  # whole-report tier
-        speedup = cold_s / warm_s if warm_s > 0 else float("inf")
+        assert warm_stats.disk.network_hits == len(jobs)  # whole-report store
+
+        # -- timing: warm pass vs the uncached pass it replaces --------
+        def warm_pass():
+            with SweepEngine(max_workers=1, cache_dir=cache_dir) as engine:
+                engine.run(jobs)
+
+        def uncached_pass():
+            SweepEngine(max_workers=1, use_cache=False).run(jobs)
+
+        warm_times, uncached_times = interleaved(
+            [warm_pass, uncached_pass], TIMING_REPEATS)
+        warm_s, uncached_s = min(warm_times), min(uncached_times)
+        speedup = uncached_s / warm_s if warm_s > 0 else float("inf")
         floor = SMOKE_SPEEDUP_FLOOR if SMOKE else FULL_SPEEDUP_FLOOR
         assert speedup >= floor, (
-            f"warm re-run only {speedup:.1f}x over cold (floor {floor}x)")
+            f"warm pass only {speedup:.1f}x over uncached (floor {floor}x)")
 
         # -- bit identity: warm == cold == uncached --------------------
         with SweepEngine(cache_dir=cache_dir) as check_engine:
@@ -117,7 +136,8 @@ def test_design_space_sweep_cache_and_resume():
         shutil.rmtree(cache_dir, ignore_errors=True)
 
     print(f"sweep: {len(jobs)} points over {len(networks)} models, "
-          f"cold {cold_s:.2f}s -> warm {warm_s:.2f}s ({speedup:.1f}x), "
+          f"cold {cold_s:.3f}s, uncached {uncached_s:.3f}s -> warm "
+          f"{warm_s:.3f}s ({speedup:.1f}x), "
           f"frontier {len(frontier)} points, store "
           f"{db_bytes / 2**20:.2f} MiB")
 
@@ -131,7 +151,9 @@ def test_design_space_sweep_cache_and_resume():
         "rf_entries": list(RF_ENTRIES),
         "points": len(jobs),
         "cold_s": round(cold_s, 3),
-        "warm_s": round(warm_s, 3),
+        "uncached_s": round(uncached_s, 4),
+        "warm_s": round(warm_s, 4),
+        "timing_repeats": TIMING_REPEATS,
         "speedup": round(speedup, 1),
         "speedup_floor": floor,
         "bit_identical": True,          # asserted above
@@ -141,8 +163,6 @@ def test_design_space_sweep_cache_and_resume():
         "disk": {
             "entries": cold_stats.disk.entries,
             "size_bytes": db_bytes,
-            "warm_hits": warm_stats.disk.hits,
-            "warm_misses": warm_stats.disk.misses,
             "warm_network_hits": warm_stats.disk.network_hits,
             "warm_network_misses": warm_stats.disk.network_misses,
         },

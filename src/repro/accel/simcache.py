@@ -44,15 +44,14 @@ energy model)``:
 enters solely via the derived ``dram_bytes_per_cycle``, which is part
 of the fingerprint).
 
-Tiering
--------
+Persistence
+-----------
 
-:class:`SimulationCache` is the fast in-memory tier.  Give it a
-``disk`` tier (:class:`repro.accel.diskcache.DiskCache`) and misses
-fall through to a persistent sqlite store shared across processes and
-across runs; disk hits are promoted into memory.  The disk tier uses
-the *same* keys, so everything above (what invalidates what) applies
-unchanged.
+:class:`SimulationCache` lives in memory, for one process.  What
+persists across runs is whole points: the sweep engine's store
+(:class:`repro.accel.diskcache.DiskCache`) keeps each finished
+:class:`~repro.accel.report.NetworkReport` under
+:func:`network_cache_key`, not under the layer keys above.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ from typing import Hashable, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.accel.config import AcceleratorConfig
-from repro.accel.diskcache import DiskCache, DiskCacheStats
+from repro.accel.diskcache import DiskCacheStats
 from repro.accel.dram import (
     _RESIDENT_FRACTION,
     _STREAM_FRACTION,
@@ -73,7 +72,7 @@ from repro.accel.dram import (
     _fits,
 )
 from repro.accel.energy import EnergyModel
-from repro.accel.report import LayerReport, NetworkReport
+from repro.accel.report import LayerReport
 from repro.accel.workload import ConvWorkload
 
 
@@ -177,15 +176,13 @@ def network_cache_key(network_name: str,
                       config: AcceleratorConfig,
                       energy_model: EnergyModel,
                       digest: Optional[bytes] = None) -> str:
-    """Digest keying one whole-network report in the disk tier.
+    """Digest keying one whole-network report in the sweep store.
 
     Unlike layer keys this deliberately includes the *full* config (and
     the network name): a whole-network entry bakes in hybrid dataflow
     selection, so any knob that could flip a per-layer choice must
-    invalidate it.  The layer rows it references stay keyed by the
-    fine-grained :func:`layer_cache_key` rules and survive.  Pass a
-    precomputed ``digest`` (:func:`workloads_digest`) to skip re-hashing
-    the workload list.
+    invalidate it.  Pass a precomputed ``digest``
+    (:func:`workloads_digest`) to skip re-hashing the workload list.
     """
     key = hashlib.sha256()
     for part in (network_name, repr(config), repr(energy_model)):
@@ -201,17 +198,17 @@ class CacheStats:
 
     From :meth:`SimulationCache.stats`, every field is cache-wide.  On a
     :class:`NetworkReport`, ``hits``/``misses`` count the lookups made
-    while simulating *that* network, ``evictions`` and ``entries`` are
-    the memory tier's totals at the time the report was built, and
-    ``disk`` is None (see
-    :meth:`~repro.accel.simulator.AcceleratorSimulator.simulate_keyed`).
+    while simulating *that* network and ``evictions`` and ``entries``
+    are the memory tier's totals at the time the report was built.
+    ``disk`` is set only on the ``cache_stats`` of a
+    :class:`~repro.core.sweep.SweepEngine` with a store.
     """
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
     entries: int = 0
-    #: Disk-tier counters when a persistent tier is attached (else None).
+    #: The sweep store's counters (see above; else None).
     disk: Optional[DiskCacheStats] = None
 
     @property
@@ -237,22 +234,12 @@ class SimulationCache:
     eviction also bumps the ``simcache.hits`` / ``simcache.misses`` /
     ``simcache.evictions`` counters — each obs counter delta equals the
     corresponding :meth:`stats` counter delta over the traced region.
-
-    ``disk`` attaches a persistent tier
-    (:class:`~repro.accel.diskcache.DiskCache`): memory misses fall
-    through to sqlite, disk hits are promoted into memory, and every
-    insert is queued for the disk tier's write-behind flush.  A lookup
-    satisfied by either tier counts as one cache hit (so the
-    obs-vs-stats exactness above is unchanged); the disk tier keeps its
-    own ``simcache.disk.*`` counters with the same exactness guarantee.
     """
 
-    def __init__(self, max_entries: Optional[int] = None,
-                 disk: Optional[DiskCache] = None) -> None:
+    def __init__(self, max_entries: Optional[int] = None) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be positive (or None)")
         self.max_entries = max_entries
-        self.disk = disk
         self._entries: "OrderedDict[Hashable, LayerReport]" = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
@@ -263,45 +250,21 @@ class SimulationCache:
         """Look up a report; counts a hit or a miss."""
         with self._lock:
             report = self._entries.get(key)
-            if report is not None:
-                if self.max_entries is not None:
-                    # Recency only matters when eviction can happen.
-                    self._entries.move_to_end(key)
-                self._hits += 1
-                obs.count("simcache.hits")
-                return report
-        if self.disk is not None:
-            report = self.disk.get(key)
-            if report is not None:
-                with self._lock:
-                    self._hits += 1
-                    obs.count("simcache.hits")
-                    self._promote(key, report)
-                return report
-        with self._lock:
-            self._misses += 1
-            obs.count("simcache.misses")
-            return None
-
-    def _promote(self, key: Hashable, report: LayerReport) -> None:
-        """Insert a disk-tier hit into memory (lock held by caller)."""
-        self._entries[key] = report
-        if (self.max_entries is not None
-                and len(self._entries) > self.max_entries):
-            self._entries.popitem(last=False)
-            self._evictions += 1
-            obs.count("simcache.evictions")
+            if report is None:
+                self._misses += 1
+                obs.count("simcache.misses")
+                return None
+            if self.max_entries is not None:
+                # Recency only matters when eviction can happen.
+                self._entries.move_to_end(key)
+            self._hits += 1
+            obs.count("simcache.hits")
+            return report
 
     def put(self, key: Hashable, report: LayerReport) -> None:
-        """Insert (or refresh) a report, evicting LRU entries if full.
-
-        Only a key new to the memory tier is queued for the disk tier:
-        when two threads simulate one key at once, the second put must
-        not write the row again.
-        """
+        """Insert (or refresh) a report, evicting LRU entries if full."""
         with self._lock:
-            new = key not in self._entries
-            if not new:
+            if key in self._entries:
                 self._entries.move_to_end(key)
             self._entries[key] = report
             if (self.max_entries is not None
@@ -309,41 +272,6 @@ class SimulationCache:
                 self._entries.popitem(last=False)
                 self._evictions += 1
                 obs.count("simcache.evictions")
-        if new and self.disk is not None:
-            self.disk.put(key, report)
-
-    def get_network(self, key: str) -> Optional[NetworkReport]:
-        """Whole-network disk-tier lookup (None without a disk tier).
-
-        Network entries bypass the per-layer memory tier entirely —
-        they exist so a warm sweep skips the per-layer machinery, so
-        resolving one does not touch the layer hit/miss counters.
-        """
-        if self.disk is None:
-            return None
-        return self.disk.get_network(key)
-
-    def put_network(self, key: str, report: NetworkReport,
-                    layer_keys: Sequence[Hashable]) -> None:
-        """Queue a whole-network entry on the disk tier (if attached)."""
-        if self.disk is not None:
-            self.disk.put_network(key, report, layer_keys)
-
-    def flush(self) -> None:
-        """Push pending write-behind entries to the disk tier (if any)."""
-        if self.disk is not None:
-            self.disk.flush()
-
-    def close(self) -> None:
-        """Flush and release the disk tier (no-op for memory-only)."""
-        if self.disk is not None:
-            self.disk.close()
-
-    def __enter__(self) -> "SimulationCache":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     def clear(self) -> None:
         """Drop all entries; the hit/miss/evict counters survive."""
@@ -367,9 +295,8 @@ class SimulationCache:
         return self._evictions
 
     def stats(self) -> CacheStats:
-        """Cache-wide counter snapshot (disk tier included when attached)."""
-        disk = self.disk.stats() if self.disk is not None else None
+        """Cache-wide counter snapshot."""
         with self._lock:
             return CacheStats(hits=self._hits, misses=self._misses,
                               evictions=self._evictions,
-                              entries=len(self._entries), disk=disk)
+                              entries=len(self._entries))

@@ -91,19 +91,17 @@ class AcceleratorSimulator:
 
     def _option(self, workload: ConvWorkload, dataflow: str,
                 cache: Optional[SimulationCache],
-                shape_key=None) -> Tuple[LayerReport, bool, Optional[Tuple]]:
-        """One layer under one dataflow: (report, was cache hit, cache key).
+                shape_key=None) -> Tuple[LayerReport, bool]:
+        """One layer under one dataflow: (report, was cache hit).
 
         A hit may come back carrying the shape-sharing layer's name and
         category — :meth:`_rebind` restores the caller's identity.  The
         whole-network path rebinds only the report the policy selects.
-        The key is None on the uncached path.
         """
+        model = self._ws if dataflow == "WS" else self._os
         if cache is None:
-            model = self._ws if dataflow == "WS" else self._os
-            report = self._finish(workload,
-                                  model.simulate(workload, self.config))
-            return report, False, None
+            return self._finish(workload,
+                                model.simulate(workload, self.config)), False
         if shape_key is None:
             shape_key = workload_shape_key(workload)
         key = (
@@ -115,11 +113,10 @@ class AcceleratorSimulator:
         )
         cached = cache.get(key)
         if cached is not None:
-            return cached, True, key
-        model = self._ws if dataflow == "WS" else self._os
+            return cached, True
         report = self._finish(workload, model.simulate(workload, self.config))
         cache.put(key, report)
-        return report, False, key
+        return report, False
 
     @staticmethod
     def _rebind(report: LayerReport, workload: ConvWorkload) -> LayerReport:
@@ -142,9 +139,8 @@ class AcceleratorSimulator:
     def _options_counted(
         self, workload: ConvWorkload, cache: Optional[SimulationCache],
         dataflows: Optional[Tuple[str, ...]] = None,
-    ) -> Tuple[Dict[str, LayerReport], int, Dict[str, Tuple]]:
-        """Per-dataflow reports, the number of cache hits, and the
-        per-dataflow cache keys (empty on the uncached path).
+    ) -> Tuple[Dict[str, LayerReport], int]:
+        """Per-dataflow reports and the number of cache hits.
 
         The returned reports may carry a shape-sharing layer's identity;
         callers pass the policy's pick through :meth:`_rebind`.
@@ -153,16 +149,12 @@ class AcceleratorSimulator:
             dataflows = ("WS",) if workload.is_fc else ("WS", "OS")
         shape_key = workload_shape_key(workload) if cache is not None else None
         options: Dict[str, LayerReport] = {}
-        keys: Dict[str, Tuple] = {}
         hits = 0
         for dataflow in dataflows:
-            report, hit, key = self._option(workload, dataflow, cache,
-                                            shape_key)
-            options[dataflow] = report
+            options[dataflow], hit = self._option(workload, dataflow, cache,
+                                                  shape_key)
             hits += hit
-            if key is not None:
-                keys[dataflow] = key
-        return options, hits, keys
+        return options, hits
 
     def _needed_dataflows(self, workload: ConvWorkload) -> Tuple[str, ...]:
         """Which dataflows the policy's selection actually consults."""
@@ -174,7 +166,7 @@ class AcceleratorSimulator:
 
     def dataflow_options(self, workload: ConvWorkload) -> Dict[str, LayerReport]:
         """Simulate one layer under both dataflows (FC: WS path only)."""
-        options, _, _ = self._options_counted(workload, self._cache)
+        options, _ = self._options_counted(workload, self._cache)
         return {dataflow: self._rebind(report, workload)
                 for dataflow, report in options.items()}
 
@@ -209,7 +201,7 @@ class AcceleratorSimulator:
 
     def simulate_layer(self, workload: ConvWorkload) -> LayerReport:
         """Simulate one layer under the machine's dataflow policy."""
-        options, _, _ = self._options_counted(
+        options, _ = self._options_counted(
             workload, self._cache, self._needed_dataflows(workload))
         return self._rebind(self._select(workload, options), workload)
 
@@ -247,25 +239,10 @@ class AcceleratorSimulator:
         ``cache_stats``.  ``workloads`` lets a caller that simulates the
         same network on many configs (the sweep engine) extract the
         workload list once instead of per config point.
-        """
-        return self.simulate_keyed(network, workloads)[0]
-
-    def simulate_keyed(
-        self, network: NetworkSpec,
-        workloads: Optional[List[ConvWorkload]] = None,
-    ) -> Tuple[NetworkReport, List[Tuple]]:
-        """:meth:`simulate`, plus the cache key of each selected layer.
-
-        The keys (one per report layer, in order) are the ones the
-        lookups just used, so a caller indexing the whole report by its
-        layer entries (the sweep engine's disk tier) need not rebuild
-        them.  The list is empty when the simulation ran uncached.
 
         The report's ``cache_stats`` holds this network's hits and
         misses plus the memory tier's eviction and entry counts — all
-        O(1) counters.  Its ``disk`` is always None: counting the disk
-        tier's entries costs sqlite queries, so cache-wide disk state is
-        read on demand from :meth:`SimulationCache.stats`.
+        O(1) counters.
         """
         cache = self._cache
         if cache is None and self._use_cache:
@@ -273,7 +250,6 @@ class AcceleratorSimulator:
         if workloads is None:
             workloads = network_workloads(network)
         layers: List[LayerReport] = []
-        layer_keys: List[Tuple] = []
         hits = lookups = 0
         with obs.span("accel.simulate", network=network.name,
                       machine=self.config.name,
@@ -284,7 +260,7 @@ class AcceleratorSimulator:
             for workload in workloads:
                 if traced:
                     with obs.span("accel.layer", layer=workload.name) as sp:
-                        options, n_hits, keys = self._options_counted(
+                        options, n_hits = self._options_counted(
                             workload, cache, self._needed_dataflows(workload))
                         selected = self._rebind(
                             self._select(workload, options), workload)
@@ -292,13 +268,11 @@ class AcceleratorSimulator:
                                     cycles=selected.total_cycles,
                                     cache_hits=n_hits)
                 else:
-                    options, n_hits, keys = self._options_counted(
+                    options, n_hits = self._options_counted(
                         workload, cache, self._needed_dataflows(workload))
                     selected = self._rebind(self._select(workload, options),
                                             workload)
                 layers.append(selected)
-                if keys:
-                    layer_keys.append(keys[selected.dataflow])
                 hits += n_hits
                 lookups += len(options)
             net_span.annotate(layers=len(layers), cache_hits=hits,
@@ -307,7 +281,7 @@ class AcceleratorSimulator:
         if cache is not None:
             stats = CacheStats(hits=hits, misses=lookups - hits,
                                evictions=cache.evictions, entries=len(cache))
-        report = NetworkReport(
+        return NetworkReport(
             network=network.name,
             machine=self.config.name,
             policy=str(self.config.policy),
@@ -316,7 +290,6 @@ class AcceleratorSimulator:
             num_pes=self.config.num_pes,
             cache_stats=stats,
         )
-        return report, layer_keys
 
 def simulate(network: NetworkSpec, config: AcceleratorConfig,
              cache: Optional[SimulationCache] = None) -> NetworkReport:

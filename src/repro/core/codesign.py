@@ -69,7 +69,7 @@ class CoDesignLoop:
         # One engine for all three movements, so the re-tune sweep reuses
         # every layer report the initial sweep already produced.  An
         # engine with a cache_dir makes the loop resumable: a re-run
-        # serves every finished sweep point from the disk tier.
+        # serves every finished sweep point from the store.
         self.engine = engine or SweepEngine()
 
     def run(self) -> CoDesignResult:

@@ -134,7 +134,7 @@ def evolve_squeezenext(
                                            min_conv1_kernel))
         best = None
         # Generator first in the zip: once the last candidate is
-        # consumed, run_iter's cleanup (disk-tier flush) runs.
+        # consumed, run_iter's cleanup (store flush) runs.
         for cand_cycles, candidate in zip(
                 _simulate_batch(engine, config, candidates), candidates):
             if best is None or cand_cycles < best[0]:

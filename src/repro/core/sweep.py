@@ -16,19 +16,21 @@ shape, done once:
   scheduling or mode; thread- and process-mode results are bit-identical;
 * all points share one :class:`~repro.accel.simcache.SimulationCache`,
   so a sweep that changes one knob at a time re-simulates only the
-  layers that knob invalidates.  With ``cache_dir=`` the cache gains a
-  persistent sqlite tier (:class:`~repro.accel.diskcache.DiskCache`)
-  shared across worker processes *and across runs* — a warm re-run of a
-  whole design-space sweep skips every simulation;
+  layers that knob invalidates;
+* with ``cache_dir=`` the engine keeps a store of whole-network reports
+  (:class:`~repro.accel.diskcache.DiskCache`, one sqlite file keyed by
+  :func:`~repro.accel.simcache.network_cache_key`) that process workers
+  share and later runs reuse: a point already in the store is read
+  back, not simulated.  Process workers share only these rows; each
+  keeps its own layer cache;
 * :meth:`SweepEngine.run_iter` streams points as they complete (input
   order), so partial sweep results are usable live — e.g. feeding an
   incremental :class:`~repro.core.pareto.ParetoFrontier`;
 * long sweeps resume: re-run the same sweep with the same ``cache_dir``
-  and every point already in the disk tier's network index is served
-  without simulation.  A killed run loses at most the write-behind
-  window (``flush_every``, 256 pending puts); ``run_iter`` flushes
-  after the last point and when abandoned, process-mode workers after
-  every chunk.
+  and every finished point comes from the store.  A killed run loses at
+  most the write-behind window (``flush_every``, 256 pending points);
+  ``run_iter`` flushes after the last point and when abandoned,
+  process-mode workers after every chunk.
 
 Environment defaults (overridden by explicit constructor arguments):
 
@@ -47,7 +49,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (
     Callable,
@@ -147,78 +149,70 @@ def _default_workers(mode: str = "thread") -> int:
 # -- process-mode worker side -------------------------------------------------
 #
 # Workers cannot share the parent's in-memory cache; they share the
-# persistent disk tier instead (when a cache_dir is configured).  The
-# initializer runs once per worker process; chunks of jobs then arrive
-# through the pool, amortizing pickling/IPC over `chunk_size` points.
+# store instead (when a cache_dir is configured).  The initializer runs
+# once per worker process; chunks of jobs then arrive through the pool,
+# amortizing pickling/IPC over `chunk_size` points.
 
 _WORKER_STATE: Dict[str, object] = {}
 
 
+def _open_store(cache_dir: Optional[str],
+                use_cache: bool) -> Optional[DiskCache]:
+    return DiskCache(cache_dir) if use_cache and cache_dir else None
+
+
 def _init_sweep_worker(cache_dir: Optional[str], use_cache: bool,
                        energy_model: Optional[EnergyModel]) -> None:
-    cache = None
-    if use_cache:
-        disk = DiskCache(cache_dir) if cache_dir else None
-        cache = SimulationCache(disk=disk)
-    _WORKER_STATE["cache"] = cache
+    _WORKER_STATE["cache"] = SimulationCache() if use_cache else None
+    _WORKER_STATE["store"] = _open_store(cache_dir, use_cache)
     _WORKER_STATE["energy_model"] = energy_model
 
 
 def _simulate_report(cache: Optional[SimulationCache],
+                     store: Optional[DiskCache],
                      energy_model: Optional[EnergyModel],
                      job: SweepJob, workloads: list,
                      digest: Optional[bytes] = None) -> NetworkReport:
-    """Simulate one point, through the whole-network disk tier if present.
-
-    A warm point resolves to a single ``networks``-table lookup plus
-    shared layer-row decodes — no per-layer cache probing, no simulator
-    machinery.  Misses fall through to the real simulator and the
-    finished report is queued as a network entry keyed by the layer
-    rows the simulation just wrote.
-    """
-    disk_tiered = cache is not None and cache.disk is not None
-    if disk_tiered:
-        model = energy_model or DEFAULT_ENERGY_MODEL
-        net_key = network_cache_key(job.network.name, workloads,
-                                    job.config, model, digest=digest)
-        cached = cache.get_network(net_key)
-        if cached is not None:
-            return cached
-    simulator = AcceleratorSimulator(
-        job.config, energy_model, cache=cache, use_cache=cache is not None)
-    if not disk_tiered:
-        return simulator.simulate(job.network, workloads)
-    # The selected layers' keys are exactly the ones the simulator just
-    # looked up (and so wrote through to disk).
-    report, layer_keys = simulator.simulate_keyed(job.network, workloads)
-    cache.put_network(net_key, report, layer_keys)
+    """One point: a store lookup, else a simulation put into the store."""
+    if store is not None:
+        key = network_cache_key(job.network.name, workloads, job.config,
+                                energy_model or DEFAULT_ENERGY_MODEL,
+                                digest=digest)
+        report = store.get(key)
+        if report is not None:
+            return report
+    report = AcceleratorSimulator(
+        job.config, energy_model, cache=cache,
+        use_cache=cache is not None).simulate(job.network, workloads)
+    if store is not None:
+        store.put(key, report)
     return report
 
 
 def _run_sweep_chunk(chunk: List[SweepJob]) -> List[NetworkReport]:
     cache: Optional[SimulationCache] = _WORKER_STATE["cache"]  # type: ignore
+    store: Optional[DiskCache] = _WORKER_STATE["store"]  # type: ignore
     energy_model = _WORKER_STATE["energy_model"]
     # A chunk is pickled as one object, so jobs sharing a NetworkSpec
     # still share it here — extract each distinct network's workload
     # list once per chunk.
     workloads_by_network: Dict[int, list] = {}
     digests: Dict[int, bytes] = {}
-    disk_tiered = cache is not None and cache.disk is not None
     reports: List[NetworkReport] = []
     for job in chunk:
         workloads = workloads_by_network.get(id(job.network))
         if workloads is None:
             workloads = network_workloads(job.network)
             workloads_by_network[id(job.network)] = workloads
-            if disk_tiered:
+            if store is not None:
                 digests[id(job.network)] = workloads_digest(workloads)
         reports.append(
-            _simulate_report(cache, energy_model, job, workloads,
+            _simulate_report(cache, store, energy_model, job, workloads,
                              digest=digests.get(id(job.network))))
-    if cache is not None:
+    if store is not None:
         # Write-behind boundary: one sqlite transaction per chunk, so
-        # other workers and future runs see these entries.
-        cache.flush()
+        # other workers and future runs see these points.
+        store.flush()
     return reports
 
 
@@ -250,29 +244,36 @@ class SweepEngine:
         self.chunk_size = chunk_size
         self.use_cache = use_cache
         if cache is None and use_cache:
-            disk = DiskCache(self.cache_dir) if self.cache_dir else None
-            cache = SimulationCache(disk=disk)
+            cache = SimulationCache()
         self.cache = cache
+        #: Whole-network report store under ``cache_dir`` (else None).
+        self.store = _open_store(self.cache_dir, use_cache)
         self.energy_model = energy_model
 
     @property
     def cache_stats(self) -> Optional[CacheStats]:
         """Counter snapshot of the shared cache (None when disabled).
 
-        In process mode this is the *parent's* cache; worker processes
-        keep their own memory tiers and meet only in the disk tier.
+        ``disk`` carries the store's counters when there is a store.  In
+        process mode this is the *parent's* view; worker processes keep
+        their own layer caches and meet only in the store.
         """
-        return self.cache.stats() if self.cache is not None else None
+        if self.cache is None:
+            return None
+        stats = self.cache.stats()
+        if self.store is None:
+            return stats
+        return replace(stats, disk=self.store.stats())
 
     def flush(self) -> None:
-        """Flush the cache's write-behind disk tier (if any)."""
-        if self.cache is not None:
-            self.cache.flush()
+        """Write the store's pending points (if there is a store)."""
+        if self.store is not None:
+            self.store.flush()
 
     def close(self) -> None:
-        """Flush and release the cache's disk tier (if any)."""
-        if self.cache is not None:
-            self.cache.close()
+        """Flush and release the store (if there is one)."""
+        if self.store is not None:
+            self.store.close()
 
     def __enter__(self) -> "SweepEngine":
         return self
@@ -291,7 +292,7 @@ class SweepEngine:
         """
         if workloads is None:
             workloads = network_workloads(job.network)
-        report = _simulate_report(self.cache, self.energy_model,
+        report = _simulate_report(self.cache, self.store, self.energy_model,
                                   job, workloads, digest=digest)
         return SweepPoint(label=job.label, config=job.config, report=report)
 
@@ -387,10 +388,9 @@ class SweepEngine:
 
         Streaming makes partial sweep results usable live — feed an
         incremental :class:`~repro.core.pareto.ParetoFrontier`, print
-        progress, or stop early.  The disk tier is flushed when the
-        iterator finishes or is abandoned, so a re-run with the same
-        ``cache_dir`` serves every point already yielded from the
-        network index.
+        progress, or stop early.  The store is flushed when the iterator
+        finishes or is abandoned, so a re-run with the same
+        ``cache_dir`` reads every point already yielded from it.
         """
         jobs = list(jobs)
         # Extract each distinct network's workload list once up front —
@@ -398,12 +398,11 @@ class SweepEngine:
         # graph-to-workload flattening is config-independent.
         workloads_by_network: Dict[int, list] = {}
         digests: Dict[int, bytes] = {}
-        disk_tiered = self.cache is not None and self.cache.disk is not None
         for job in jobs:
             if id(job.network) not in workloads_by_network:
                 workloads = network_workloads(job.network)
                 workloads_by_network[id(job.network)] = workloads
-                if disk_tiered:
+                if self.store is not None:
                     digests[id(job.network)] = workloads_digest(workloads)
         if self.mode == "process":
             points = self._execute_processes(jobs)
@@ -413,8 +412,7 @@ class SweepEngine:
         try:
             yield from points
         finally:
-            if self.cache is not None:
-                self.cache.flush()
+            self.flush()
 
     def run(self, jobs: Sequence[SweepJob]) -> List[SweepPoint]:
         """Evaluate all jobs; deterministic (input) result order.

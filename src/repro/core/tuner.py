@@ -181,7 +181,7 @@ def design_space_sweep(
     size) combination, on whatever engine is passed — a process-mode
     engine with a ``cache_dir`` makes re-runs nearly free, and re-running
     an interrupted enumeration with the same ``cache_dir`` resumes it
-    (only points missing from the disk tier are simulated).  With
+    (only points missing from the store are simulated).  With
     ``stream=True`` an iterator of points
     is returned as they complete (input order), suitable for feeding
     :func:`repro.core.pareto.streaming_sweep_frontier`.

@@ -227,7 +227,7 @@ def run(names: Optional[List[str]] = None,
     :mod:`repro.core.sweep`); the CLI's ``--cache-dir`` /
     ``--sweep-workers`` flags set those variables for the duration of
     :func:`main`.  Re-running with the same ``--cache-dir`` resumes an
-    interrupted run: finished sweep points come from the disk tier.
+    interrupted run: finished sweep points come from the store.
     """
     keys = [resolve(n) for n in names] if names else list(_ARTIFACTS)
     _warn_ignored_flags(keys, array_size, rf_entries, quant_bits)

@@ -265,7 +265,8 @@ class CompiledProgram:
     closures over a caller-owned block of at least ``total_bytes``.
     ``bound_replicas`` counts those bindings (one per thread that ran
     the program).  ``bits`` is ``None`` for a float64 program, else the
-    integer plan's activation width.
+    integer plan's activation width.  ``input_shape`` and
+    ``output_shape`` are per sample (batch excluded).
     """
 
     def __init__(self, steps: List[_StepIR], bufs: List[_Buf],
@@ -290,6 +291,10 @@ class CompiledProgram:
     def strategies(self) -> Dict[str, str]:
         return {s.name: s.strategy + ("->join" if s.write_through else "")
                 for s in self._steps}
+
+    @property
+    def output_shape(self) -> Tuple[int, ...]:
+        return tuple(self._steps[-1].value.shape[1:])
 
     @property
     def bound_replicas(self) -> int:

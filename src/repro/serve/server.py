@@ -353,13 +353,9 @@ class Server:
         return self
 
     def _start_process_pool(self) -> None:
-        # One probe run pins the output shape the response ring must
-        # hold.  It runs on a throwaway clone of the interpreted plan,
-        # so the runtime the workers fork binds no block here.
-        probe = self._plan.clone().run(
-            np.zeros((1,) + self.input_shape, dtype=np.float64))
-        output_shape = tuple(probe.shape[1:])
-        del probe
+        # The compiled program fixes the response ring's output shape;
+        # reading it binds no block in the runtime the workers fork.
+        output_shape = self._runtime.executor.program(1).output_shape
         self._procpool = ProcessWorkerPool(self._runtime,
                                            output_shape).start()
         self._dispatcher = threading.Thread(

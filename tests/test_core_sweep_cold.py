@@ -1,5 +1,5 @@
-"""The cold design-space sweep: pinned results, and no per-network
-disk-tier entry count.
+"""The cold design-space sweep: pinned results, and a store that keeps
+one whole-network row per point.
 
 The pinned sums were computed before the OS model's closed-form tiling
 and pass-cost split; any drift in a single simulated cycle or picojoule
@@ -54,13 +54,14 @@ def test_benchmark_grid_sums_pinned():
 
 
 def test_disk_backed_cold_run_counts_no_entries(tmp_path, monkeypatch):
-    """``simulate()`` builds each report's cache stats from O(1)
-    counters; the cache-wide disk state stays exact, read on demand."""
+    """A disk-backed cold sweep writes exactly one ``networks`` row per
+    point and nothing else; ``simulate()`` never counts the store, whose
+    state is read on demand and stays exact."""
     jobs = grid_jobs(SMALL_GRID)
     engine = SweepEngine(max_workers=1, cache_dir=tmp_path)
     with monkeypatch.context() as patch:
         def no_count(self):
-            raise AssertionError("disk tier entry count during the sweep")
+            raise AssertionError("store entry count during the sweep")
         patch.setattr(DiskCache, "__len__", no_count)
         points = engine.run(jobs)
     assert sums(points) == (SMALL_CYCLES, SMALL_ENERGY)
@@ -68,8 +69,11 @@ def test_disk_backed_cold_run_counts_no_entries(tmp_path, monkeypatch):
         assert point.report.cache_stats.disk is None
         assert point.report.cache_stats.lookups > 0
     stats = engine.cache_stats
-    with closing(sqlite3.connect(str(tmp_path / DB_FILENAME))) as conn:
-        (rows,) = conn.execute("SELECT COUNT(*) FROM reports").fetchone()
-    assert stats.disk.entries == rows == stats.disk.writes == stats.entries
-    assert stats.disk.network_writes == len(jobs)
     engine.close()
+    with closing(sqlite3.connect(str(tmp_path / DB_FILENAME))) as conn:
+        tables = {name for (name,) in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'")}
+        (rows,) = conn.execute("SELECT COUNT(*) FROM networks").fetchone()
+    assert tables == {"meta", "networks"}
+    assert stats.disk.entries == rows == stats.disk.writes == len(jobs)
+    assert stats.disk.network_misses == len(jobs)

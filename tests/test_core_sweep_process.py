@@ -1,4 +1,4 @@
-"""Process-mode sweeps, resume from the disk tier, and streaming results.
+"""Process-mode sweeps, resume from the store, and streaming results.
 
 The contracts under test, in rough order of importance:
 
@@ -22,8 +22,7 @@ from contextlib import closing
 import pytest
 
 from repro.accel.config import squeezelerator
-from repro.accel.diskcache import DB_FILENAME, DiskCache
-from repro.accel.simcache import SimulationCache
+from repro.accel.diskcache import DB_FILENAME
 from repro.core.codesign import CoDesignLoop
 from repro.core.pareto import streaming_sweep_frontier, sweep_dominates
 from repro.core.sweep import SweepEngine, _default_workers
@@ -62,7 +61,8 @@ class TestProcessMode:
             cold_points = cold.run(jobs)
         with SweepEngine(mode="thread", cache_dir=tmp_path) as warm:
             warm_points = warm.run(jobs)
-            assert warm.cache_stats.misses == 0
+            assert warm.cache_stats.lookups == 0
+            assert warm.cache_stats.disk.network_hits == len(jobs)
         assert as_dicts(warm_points) == as_dicts(cold_points)
 
     def test_single_chunk_and_many_chunks_agree(self):
@@ -128,8 +128,8 @@ class TestRunIter:
 
 class TestResume:
     """Resuming a sweep means re-running it with the same ``cache_dir``:
-    every point already in the disk tier's network index is served
-    without simulation, the rest are simulated."""
+    every point already in the store is served without simulation, the
+    rest are simulated."""
 
     def test_resume_simulates_zero_points(self, tmp_path):
         jobs = small_jobs(sizes=(16, 32), rfs=(8, 16))
@@ -144,7 +144,7 @@ class TestResume:
 
     def test_abandoned_run_resumes_remainder_only(self, tmp_path):
         """A consumer that stops after k points leaves exactly those k
-        in the network index; the re-run simulates only the rest."""
+        in the store; the re-run simulates only the rest."""
         jobs = small_jobs(sizes=(8, 16, 24, 32), rfs=(8,))
         k = 2
         with SweepEngine(cache_dir=tmp_path, max_workers=1) as first:
@@ -171,9 +171,8 @@ class TestResume:
         if pid == 0:  # child: sweep k points, report, wait for the kill
             try:
                 os.close(read_fd)
-                disk = DiskCache(tmp_path, flush_every=1)
-                engine = SweepEngine(
-                    max_workers=1, cache=SimulationCache(disk=disk))
+                engine = SweepEngine(max_workers=1, cache_dir=tmp_path)
+                engine.store.flush_every = 1
                 for done, _ in enumerate(engine.run_iter(jobs), 1):
                     if done == k:
                         os.write(write_fd, b"k")
@@ -214,14 +213,18 @@ class TestResume:
                          cache_dir=tmp_path) as cold:
             first = cold.run(jobs)
         # The parent never simulates in process mode; the workers'
-        # chunk flushes must have landed every point in the index.
+        # chunk flushes must have landed every point in the store.
         with closing(sqlite3.connect(tmp_path / DB_FILENAME)) as conn:
             (rows,) = conn.execute("SELECT COUNT(*) FROM networks").fetchone()
         assert rows == len(jobs)
         with SweepEngine(mode="process", max_workers=2,
                          cache_dir=tmp_path) as again:
             resumed = again.run(jobs)
+            disk = again.cache_stats.disk
         assert as_dicts(resumed) == as_dicts(first)
+        # Process workers count hits in their own store handles; the
+        # parent's handle only proves that nothing was re-written.
+        assert disk.entries == len(jobs) and disk.writes == 0
 
     def test_codesign_loop_resumes_from_cache_dir(self, tmp_path):
         runs = []

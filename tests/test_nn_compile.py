@@ -116,6 +116,18 @@ class TestZooCompiledEquivalence:
         np.testing.assert_allclose(out, oracle, atol=1e-6)
         assert compiled.batch_sizes == (batch,)
 
+    def test_output_shape_matches_plan(self, zoo_network):
+        """``CompiledProgram.output_shape`` is the interpreted plan's
+        per-sample output shape, float and int16, at batch 1 and 3."""
+        shape = _input_shape(zoo_network)
+        plan = zoo_network.inference_plan()
+        for interpreted in (plan, plan.quantize(16)):
+            compiled = compile_plan(interpreted, shape, batch_sizes=(1, 3))
+            x = np.zeros((3,) + shape)
+            expected = interpreted.run(x).shape[1:]
+            assert compiled.program(1).output_shape == expected
+            assert compiled.program(3).output_shape == expected
+
 
 class TestCompileTimeShapeChecks:
     """A program fixes every shape at compile time, so an input the plan

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import repro.nn.compile
+import repro.nn.infer
 import repro.nn.quant
 from repro.serve import (
     DeadlineExceeded,
@@ -272,6 +273,23 @@ class TestForkedRuntime:
         expected = parent.run(xs)
         for i, result in enumerate(batched):
             np.testing.assert_array_equal(result, expected[i])
+
+    def test_start_runs_no_interpreted_inference(self, monkeypatch):
+        """The response ring's output shape comes from the compiled
+        program, so starting a process-mode server interprets nothing."""
+        net = make_net()
+        config = proc_config(workers=1)
+        server = Server.for_network(net, config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the interpreted plan ran")
+
+        monkeypatch.setattr(repro.nn.infer.InferencePlan, "run", refuse)
+        x = images(1)
+        with server:
+            result = server.infer(x[0], timeout=60)
+        np.testing.assert_array_equal(
+            result, server._runtime.executor.run(x)[0])
 
     @pytest.mark.parametrize("mode", ["thread", "process"])
     def test_server_builds_exactly_one_runtime(self, monkeypatch, mode):
