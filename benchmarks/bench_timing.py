@@ -3,16 +3,6 @@
 import time
 
 
-def best_of(fn, repeats: int) -> float:
-    """Minimum wall time of ``fn()`` over ``repeats`` runs (noise-robust)."""
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
-
-
 def interleaved(fns, repeats: int):
     """Wall times of each of ``fns`` over ``repeats`` rounds.
 
@@ -26,3 +16,8 @@ def interleaved(fns, repeats: int):
             fn()
             into.append(time.perf_counter() - start)
     return times
+
+
+def best_of(fn, repeats: int) -> float:
+    """Minimum wall time of ``fn()`` over ``repeats`` runs (noise-robust)."""
+    return min(interleaved([fn], repeats)[0])

@@ -57,8 +57,7 @@ def layer_report_from_dict(entry: Dict[str, Any]) -> LayerReport:
     The round trip is bit-identical: every float survives JSON encoding
     exactly (``json`` emits ``repr``-precision literals), so
     ``layer_report_from_dict(layer_report_to_dict(r)) == r`` field for
-    field.  The persistent simulation cache
-    (:mod:`repro.accel.diskcache`) depends on this guarantee.
+    field.
     """
     return LayerReport(
         name=entry["name"],
